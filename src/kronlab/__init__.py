@@ -65,6 +65,7 @@ from .tableaux import (
     successors,
     to_pair,
     unstrip,
+    walk_counts,
 )
 from .enumeration import (
     TruncatedEGF,

@@ -18,7 +18,6 @@ from .partitions import (
     check_partition,
     class_size,
     partitions_of,
-    standard_tableaux_count,
     weight,
 )
 from .symfunc import SchurSum
@@ -233,7 +232,3 @@ def h_kron_oracle(lam: Partition, mu: Partition) -> SchurSum:
     }
     return _project_onto_schur(n, vals)
 
-
-def dimension(lam: Partition) -> int:
-    """Dimension of the lam-irreducible; equals the standard tableau count."""
-    return standard_tableaux_count(tuple(lam))

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import product as iproduct
 
 from .partitions import Partition, check_partition, partitions_of, weight
-from .symfunc import SchurSum, multiply, perp
+from .symfunc import SchurSum, h_determinant, skew_then_multiply
 
 
 @dataclass(frozen=True)
@@ -50,38 +50,6 @@ def _term_key(nus: tuple[Partition, ...]):
     return (sum(weight(nu) for nu in nus), len(nus), nus)
 
 
-def _determinant_monomials(lambda_bar: Partition) -> dict[Partition, int]:
-    """Signed h-monomials of the operator determinant.
-
-    The matrix is m x m with m = len(lambda_bar) + 1: first row all ones,
-    row i >= 2 carrying h_{lambda_bar[i-2] - i + j} with h_0 = 1 and
-    negative indices killing the term.
-    """
-    m = len(lambda_bar) + 1
-    acc: dict[Partition, int] = {}
-
-    def expand(row: int, used: int, sign: int, indices: list[int]) -> None:
-        if row == m:
-            key = tuple(sorted(indices, reverse=True))
-            acc[key] = acc.get(key, 0) + sign
-            return
-        for col in range(m):
-            bit = 1 << col
-            if used & bit:
-                continue
-            parity = -1 if bin(used >> (col + 1)).count("1") % 2 else 1
-            if row == 0:
-                expand(row + 1, used | bit, sign * parity, indices)
-                continue
-            r = lambda_bar[row - 1] - (row + 1) + (col + 1)
-            if r < 0:
-                continue
-            expand(row + 1, used | bit, sign * parity, indices + ([r] if r else []))
-
-    expand(0, 0, 1, [])
-    return {p: c for p, c in acc.items() if c}
-
-
 @cache
 def build_operator(lambda_bar: Partition) -> KroneckerOperator:
     """Operator for the family of partitions whose tail is lambda_bar.
@@ -89,8 +57,13 @@ def build_operator(lambda_bar: Partition) -> KroneckerOperator:
     The empty tail gives the identity (trivial factor leaves everything
     unchanged)."""
     lambda_bar = check_partition(lambda_bar)
+    # Jacobi-Trudi matrix of lambda_bar with a row of ones (h_0) on top
+    m = len(lambda_bar) + 1
+    matrix = [[0] * m] + [
+        [part - i + j for j in range(m)] for i, part in enumerate(lambda_bar, 1)
+    ]
     terms: list[tuple[int, tuple[Partition, ...]]] = []
-    for alpha, coeff in sorted(_determinant_monomials(lambda_bar).items(), reverse=True):
+    for alpha, coeff in sorted(h_determinant(matrix).items(), reverse=True):
         for nus in iproduct(*(partitions_of(part) for part in alpha)):
             terms.append((coeff, nus))
     return KroneckerOperator(tuple(terms))
@@ -100,14 +73,8 @@ def apply(op: KroneckerOperator, f: SchurSum) -> SchurSum:
     """Apply the operator; degree is preserved term by term."""
     result = SchurSum.zero(f.degree)
     for coeff, nus in op.terms:
-        g = f
-        for nu in nus:
-            g = perp(nu, g)
-            if not g:
-                break
-        else:
-            for nu in nus:
-                g = multiply(SchurSum.schur(nu), g)
+        g = skew_then_multiply(nus, f)
+        if g:
             result = result + g.scale(coeff)
     return result
 

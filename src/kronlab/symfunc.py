@@ -216,17 +216,14 @@ def scalar(f: SchurSum, g: SchurSum) -> int:
     return sum(c * big.get(p, 0) for p, c in small.items())
 
 
-def jacobi_trudi(lam: Partition) -> list[HMonomial]:
-    """Signed h-expansion of s_lam from the determinant det(h_{lam_i-i+j}).
+def h_determinant(matrix: list[list[int]]) -> dict[Partition, int]:
+    """Signed h-monomials of the determinant det(h_{matrix[i][j]}).
 
-    Conventions h_0 = 1 and h_r = 0 for r < 0 are applied here, so the
-    returned monomials carry only positive indices.  Terms are combined
-    and listed in canonical order of their index partitions.
+    Entries are h-indices, with h_0 = 1 and a negative index meaning a
+    zero entry, so the returned index partitions carry only positive
+    parts.  Monomials that cancel are dropped.
     """
-    lam = check_partition(lam)
-    m = len(lam)
-    if m == 0:
-        return [HMonomial(1, ())]
+    m = len(matrix)
     acc: dict[Partition, int] = {}
 
     def expand(row: int, used: int, sign: int, indices: list[int]) -> None:
@@ -236,24 +233,26 @@ def jacobi_trudi(lam: Partition) -> list[HMonomial]:
             return
         for col in range(m):
             bit = 1 << col
-            if used & bit:
+            r = matrix[row][col]
+            if used & bit or r < 0:
                 continue
-            r = lam[row] - (row + 1) + (col + 1)
-            if r < 0:
-                continue
-            parity = -1 if _inversions_above(used, col) % 2 else 1
+            # sign of the permutation: columns already used to the right
+            parity = -1 if bin(used >> (col + 1)).count("1") % 2 else 1
             expand(row + 1, used | bit, sign * parity, indices + ([r] if r else []))
 
     expand(0, 0, 1, [])
-    return [
-        HMonomial(acc[p], p)
-        for p in canonical_sort(acc)
-        if acc[p] != 0
-    ]
+    return {p: c for p, c in acc.items() if c}
 
 
-def _inversions_above(used: int, col: int) -> int:
-    return bin(used >> (col + 1)).count("1")
+def jacobi_trudi(lam: Partition) -> list[HMonomial]:
+    """Signed h-expansion of s_lam from the determinant det(h_{lam_i-i+j}).
+
+    Terms are listed in canonical order of their index partitions.
+    """
+    lam = check_partition(lam)
+    m = len(lam)
+    acc = h_determinant([[lam[i] - i + j for j in range(m)] for i in range(m)])
+    return [HMonomial(acc[p], p) for p in canonical_sort(acc)]
 
 
 @cache
@@ -266,28 +265,34 @@ def h_to_schur(indices: Partition) -> SchurSum:
     return out
 
 
+def skew_then_multiply(nus: tuple[Partition, ...], f: SchurSum) -> SchurSum:
+    """The composite (multiply by every s_nu) after (skew by every s_nu).
+
+    Stops at the first skew that vanishes and returns zero of f's degree.
+    """
+    g = f
+    for nu in nus:
+        g = perp(nu, g)
+        if not g:
+            return SchurSum.zero(f.degree)
+    for nu in nus:
+        g = multiply(SchurSum.schur(nu), g)
+    return g
+
+
 def h_inner_s(lam: Partition, mu: Partition) -> SchurSum:
     """Kronecker-side product h_lam (.) s_mu expanded over Schur terms.
 
     Sums, over one partition nu of every part of lam except the largest,
-    the composite (multiply by each s_nu) after (skew by each s_nu)
-    applied to s_mu.
+    the skew-then-multiply composite applied to s_mu.
     """
     lam, mu = check_partition(lam), check_partition(mu)
     if weight(lam) != weight(mu):
         raise ValueError("h_inner_s requires equal weights")
-    tail = lam[1:]
+    s_mu = SchurSum.schur(mu)
     result = SchurSum.zero(weight(mu))
-    for nus in iproduct(*(partitions_of(part) for part in tail)):
-        g = SchurSum.schur(mu)
-        for nu in nus:
-            g = perp(nu, g)
-            if not g:
-                break
-        else:
-            for nu in nus:
-                g = multiply(SchurSum.schur(nu), g)
-            result = result + g
+    for nus in iproduct(*(partitions_of(part) for part in lam[1:])):
+        result = result + skew_then_multiply(nus, s_mu)
     return result
 
 

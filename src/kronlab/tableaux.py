@@ -30,6 +30,7 @@ from .partitions import (
     add_corner_positions,
     weight,
 )
+from .symfunc import SchurSum
 
 
 class EnumerationLimitError(RuntimeError):
@@ -176,11 +177,9 @@ def _transition_map(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]
     return table
 
 
-def count_kronecker_tableaux(mu: Partition, lam: Partition, k: int) -> int:
-    """Number of length-k walks from mu to lam, by k transfer-matrix steps."""
-    mu, lam = check_partition(mu), check_partition(lam)
-    if weight(mu) != weight(lam):
-        raise ValueError("equal weights required")
+def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
+    """Number of length-k walks from mu to every shape they reach, by k
+    transfer-matrix steps."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     table = _transition_map(weight(mu))
@@ -193,7 +192,24 @@ def count_kronecker_tableaux(mu: Partition, lam: Partition, k: int) -> int:
         vec = nxt
         if not vec:
             break
-    return vec.get(lam, 0)
+    return vec
+
+
+def walk_counts(mu: Partition, k: int) -> SchurSum:
+    """Numbers of length-k walks from mu, as a Schur sum over final shapes.
+
+    From the one-row shape (n) this is the k-th Kronecker power of the
+    (n-1,1) irreducible, from a single transfer-matrix propagation."""
+    mu = check_partition(mu)
+    return SchurSum(weight(mu), _walk_endpoints(mu, k))
+
+
+def count_kronecker_tableaux(mu: Partition, lam: Partition, k: int) -> int:
+    """Number of length-k walks from mu to lam, by k transfer-matrix steps."""
+    mu, lam = check_partition(mu), check_partition(lam)
+    if weight(mu) != weight(lam):
+        raise ValueError("equal weights required")
+    return _walk_endpoints(mu, k).get(lam, 0)
 
 
 def list_kronecker_tableaux(

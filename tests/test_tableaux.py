@@ -6,6 +6,7 @@ import pytest
 from kronlab.characters import kron_power_oracle
 from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import corners, partitions_of, weight
+from kronlab.symfunc import SchurSum
 from kronlab.tableaux import (
     BijectionError,
     DecCyclePermutation,
@@ -25,6 +26,7 @@ from kronlab.tableaux import (
     successors,
     to_pair,
     unstrip,
+    walk_counts,
 )
 
 from oracles import (
@@ -294,3 +296,19 @@ def test_walk_text_round_trip():
     for lam in partitions_of(5):
         for K in list_kronecker_tableaux((5,), lam, 3):
             assert parse_walk(format_walk(K)) == K
+
+
+def test_walk_counts_match_per_shape_counts_and_operator_powers():
+    for n in range(2, 9):
+        for k in range(0, 7):
+            counts = walk_counts((n,), k)
+            assert counts.degree == n
+            for lam in partitions_of(n):
+                assert counts.coefficient(lam) == count_kronecker_tableaux((n,), lam, k)
+            assert counts == kron_power_nm1(n, k), (n, k)
+
+
+def test_walk_counts_validation():
+    assert walk_counts((2, 1), 0) == SchurSum.schur((2, 1))
+    with pytest.raises(ValueError):
+        walk_counts((3,), -1)
