@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import characters, enumeration, kron_ops, symfunc, tableaux
-from .partitions import parse_partition, partitions_of, weight
+from .partitions import parse_partition, weight
 
 SCHEMA = "kronlab/1"
 
@@ -27,13 +27,67 @@ def _emit(payload: dict) -> None:
     print(json.dumps({"schema": SCHEMA, **payload}))
 
 
-def _schur_json(f: symfunc.SchurSum) -> dict:
-    return symfunc.schur_sum_to_json(f)
-
-
 def _default_format() -> str:
     fmt = os.environ.get("KRONLAB_FORMAT", "json")
     return fmt if fmt in ("json", "ascii") else "json"
+
+
+# route name -> {command: function of the command's inputs -> SchurSum}
+ROUTES = {
+    "operator": {
+        "kron": kron_ops.kron_product_via_operator,
+        "power": kron_ops.kron_power_nm1,
+    },
+    "character": {
+        "kron": characters.kron_product_via_characters,
+        "power": characters.kron_power_oracle,
+    },
+    "tableaux": {"power": lambda n, k: tableaux.walk_counts((n,), k)},
+}
+# --method values that name several routes; any other value names one
+METHOD_ROUTES = {"both": ("operator", "character"), "all": tuple(ROUTES)}
+
+
+def _run_routes(command: str, method: str, *inputs) -> dict[str, symfunc.SchurSum]:
+    names = METHOD_ROUTES.get(method, (method,))
+    return {name: ROUTES[name][command](*inputs) for name in names}
+
+
+def _agree(results: dict[str, symfunc.SchurSum]) -> bool:
+    first, *rest = results.values()
+    return all(v == first for v in rest)
+
+
+def _emit_agreed(results: dict[str, symfunc.SchurSum]) -> int:
+    """Print the shared expansion, or every route's expansion if they differ."""
+    if _agree(results):
+        _emit(symfunc.schur_sum_to_json(next(iter(results.values()))))
+        return 0
+    _emit(
+        {
+            "disagreement": True,
+            **{name: symfunc.schur_sum_to_json(v) for name, v in results.items()},
+        }
+    )
+    return 1
+
+
+def _check_power_args(args) -> int:
+    """Exit code for a bad (n, k) after printing why; 0 when it may run."""
+    if args.n < 2:
+        print("error: n must be at least 2", file=sys.stderr)
+        return 2
+    if args.n > args.max_n or args.k > args.max_k:
+        print(
+            f"error: resource limit (n <= {args.max_n}, k <= {args.max_k}); "
+            "raise --max-n/--max-k to proceed",
+            file=sys.stderr,
+        )
+        return 3
+    if args.k < 0:
+        print("error: k must be nonnegative", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_kron(args) -> int:
@@ -42,64 +96,14 @@ def cmd_kron(args) -> int:
     if weight(lam) != weight(mu):
         print(f"error: weight mismatch {lam} vs {mu}", file=sys.stderr)
         return 2
-    results = {}
-    if args.method in ("operator", "both"):
-        results["operator"] = kron_ops.kron_product_via_operator(lam, mu)
-    if args.method in ("character", "both"):
-        results["character"] = characters.kron_product_via_characters(lam, mu)
-    if args.method == "both":
-        if results["operator"] != results["character"]:
-            _emit(
-                {
-                    "disagreement": True,
-                    "operator": _schur_json(results["operator"]),
-                    "character": _schur_json(results["character"]),
-                }
-            )
-            return 1
-    _emit(_schur_json(next(iter(results.values()))))
-    return 0
+    return _emit_agreed(_run_routes("kron", args.method, lam, mu))
 
 
 def cmd_power(args) -> int:
-    n, k = args.n, args.k
-    if n < 2:
-        print("error: n must be at least 2", file=sys.stderr)
-        return 2
-    if n > args.max_n or k > args.max_k:
-        print(
-            f"error: resource limit (n <= {args.max_n}, k <= {args.max_k}); "
-            "raise --max-n/--max-k to proceed",
-            file=sys.stderr,
-        )
-        return 3
-    routes = {}
-    wanted = {
-        "operator": args.method in ("operator", "both", "all"),
-        "character": args.method in ("character", "both", "all"),
-        "tableaux": args.method in ("tableaux", "all"),
-    }
-    if wanted["operator"]:
-        routes["operator"] = kron_ops.kron_power_nm1(n, k)
-    if wanted["character"]:
-        routes["character"] = characters.kron_power_oracle(n, k)
-    if wanted["tableaux"]:
-        counts = {
-            lam: tableaux.count_kronecker_tableaux((n,), lam, k)
-            for lam in partitions_of(n)
-        }
-        routes["tableaux"] = symfunc.SchurSum(n, counts)
-    values = list(routes.values())
-    if any(v != values[0] for v in values[1:]):
-        _emit(
-            {
-                "disagreement": True,
-                **{name: _schur_json(v) for name, v in routes.items()},
-            }
-        )
-        return 1
-    _emit(_schur_json(values[0]))
-    return 0
+    status = _check_power_args(args)
+    if status:
+        return status
+    return _emit_agreed(_run_routes("power", args.method, args.n, args.k))
 
 
 def cmd_chartable(args) -> int:
@@ -143,9 +147,12 @@ def cmd_bijection(args) -> int:
     if args.walkfile in (None, "-"):
         lines = sys.stdin.read().splitlines()
     else:
-        with open(args.walkfile, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    status = 0
+        try:
+            with open(args.walkfile, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     for line in lines:
         if not line.strip():
             continue
@@ -169,7 +176,7 @@ def cmd_bijection(args) -> int:
                 "regime_ok": tableaux.bijection_regime_ok(n, k, walk.final),
             }
         )
-    return status
+    return 0
 
 
 def cmd_formula(args) -> int:
@@ -214,25 +221,15 @@ def cmd_egf(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n > args.max_n or args.k > args.max_k:
-        print(
-            f"error: resource limit (n <= {args.max_n}, k <= {args.max_k}); "
-            "raise --max-n/--max-k to proceed",
-            file=sys.stderr,
-        )
-        return 3
-    rows = []
-    all_ok = True
-    for n in range(2, args.n + 1):
-        for k in range(0, args.k + 1):
-            op = kron_ops.kron_power_nm1(n, k)
-            ch = characters.kron_power_oracle(n, k)
-            ok = op == ch
-            for lam in partitions_of(n):
-                if tableaux.count_kronecker_tableaux((n,), lam, k) != op.coefficient(lam):
-                    ok = False
-            rows.append({"n": n, "k": k, "ok": ok})
-            all_ok = all_ok and ok
+    status = _check_power_args(args)
+    if status:
+        return status
+    rows = [
+        {"n": n, "k": k, "ok": _agree(_run_routes("power", "all", n, k))}
+        for n in range(2, args.n + 1)
+        for k in range(args.k + 1)
+    ]
+    all_ok = all(row["ok"] for row in rows)
     _emit({"nmax": args.n, "kmax": args.k, "rows": rows, "ok": all_ok})
     return 0 if all_ok else 1
 

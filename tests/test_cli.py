@@ -1,7 +1,8 @@
 import io
 import json
 
-from kronlab.cli import main
+from kronlab.cli import ROUTES, main
+from kronlab.symfunc import SchurSum
 
 S4_ASCII_ROW = "[2,1,1]      1      0     -1       -1          3"
 
@@ -207,3 +208,55 @@ def test_output_is_deterministic(capsys):
     third = run(capsys, "tableaux", "list", "[5]", "[3,2]", "3")
     fourth = run(capsys, "tableaux", "list", "[5]", "[3,2]", "3")
     assert third == fourth
+
+
+def test_verify_rejects_what_power_rejects(capsys):
+    for n, k in (("1", "3"), ("5", "-1")):
+        code, out, err = run(capsys, "verify", "--n", n, "--k", k)
+        assert (code, out) == (2, "")
+        assert run(capsys, "power", n, k) == (2, "", err)
+    assert err == "error: k must be nonnegative\n"
+
+
+def test_bijection_unreadable_file_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "bijection", str(tmp_path / "missing.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing.txt" in err
+
+
+def test_kron_both_disagreement_record(capsys, monkeypatch):
+    wrong = SchurSum.schur((2, 2))
+    monkeypatch.setitem(ROUTES["character"], "kron", lambda lam, mu: wrong)
+    code, out, _ = run(capsys, "kron", "[3,1]", "[3,1]", "--method=both")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["disagreement"] is True
+    assert set(payload) == {"schema", "disagreement", "operator", "character"}
+    assert len(payload["operator"]["terms"]) == 4
+    assert payload["character"]["terms"] == [{"partition": [2, 2], "coeff": "1"}]
+
+
+def test_power_all_disagreement_record(capsys, monkeypatch):
+    wrong = SchurSum.schur((4,))
+    monkeypatch.setitem(ROUTES["tableaux"], "power", lambda n, k: wrong)
+    code, out, _ = run(capsys, "power", "4", "2", "--method=all")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["disagreement"] is True
+    assert list(payload)[2:] == ["operator", "character", "tableaux"]
+    assert payload["operator"] == payload["character"]
+    assert payload["tableaux"]["terms"] == [{"partition": [4], "coeff": "1"}]
+
+
+def test_verify_reports_disagreement(capsys, monkeypatch):
+    right = ROUTES["tableaux"]["power"]
+    wrong = SchurSum.schur((3,))
+    monkeypatch.setitem(
+        ROUTES["tableaux"], "power", lambda n, k: wrong if (n, k) == (3, 2) else right(n, k)
+    )
+    code, out, _ = run(capsys, "verify", "--n", "3", "--k", "2")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [row["ok"] for row in payload["rows"]] == [True, True, True, True, True, False]
