@@ -33,6 +33,8 @@ CASES = {
     "kron-both-default": (["kron", "[3,1]", "[3,1]"], None),
     "kron-staircase-both": (["kron", "[4,3,2,1]", "[4,3,2,1]", "--method=both"], None),
     "kron-trivial-factor": (["kron", "[5]", "[3,1,1]", "--method=operator"], None),
+    "kron-character-n7": (["kron", "[4,2,1]", "[3,2,2]", "--method=character"], None),
+    "kron-empty-both": (["kron", "[]", "[]", "--method=both"], None),
     "kron-weight-mismatch": (["kron", "[4]", "[2,1]"], None),
     "kron-bad-syntax": (["kron", "[4", "[2,1,1]"], None),
     "kron-unknown-method": (["kron", "[3,1]", "[3,1]", "--method=guess"], None),
@@ -46,10 +48,12 @@ CASES = {
     "power-negative-k": (["power", "5", "-1", "--method=all"], None),
     "power-resource-limit": (["power", "30", "2"], None),
     "power-raised-limit": (["power", "9", "2", "--method=all", "--max-n", "9"], None),
+    "power-character-n9": (["power", "9", "5", "--method=character", "--max-n", "9"], None),
     "chartable-json": (["chartable", "5", "--format=json"], None),
     "chartable-ascii": (["chartable", "5", "--format=ascii"], None),
     "chartable-default": (["chartable", "3"], None),
     "chartable-nonpositive": (["chartable", "0"], None),
+    "chartable-ascii-7": (["chartable", "7", "--format=ascii"], None),
     "tableaux-count": (["tableaux", "count", "[5]", "[3,2]", "9"], None),
     "tableaux-count-zero": (["tableaux", "count", "[4]", "[1,1,1,1]", "1"], None),
     "tableaux-list": (["tableaux", "list", "[5]", "[3,2]", "3"], None),
@@ -80,6 +84,8 @@ GOLDEN = {
     "kron-both-default": (0, "eb31a8d42f60444aafbc6d0cb146f5b5618d75f8acc136a4c2ef4dbf670b258a"),
     "kron-staircase-both": (0, "8aa603f97ed74413695fe81a4320b8a87b31d147f03d9bc7ff775a1e7ea75663"),
     "kron-trivial-factor": (0, "a1d8aabd546785203b8db30cf8ab701612b0e444d7ee5f6bca67ff963221672f"),
+    "kron-character-n7": (0, "a7212602484b2b59a1ecc47a0a23443910bbbe962848f069bf568ace1705de6e"),
+    "kron-empty-both": (0, "5bb02b3a9c62d10480b010a9e219b355f4e6b0bfc50cf29a62047f9560a2c9df"),
     "kron-weight-mismatch": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "kron-bad-syntax": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "kron-unknown-method": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -93,10 +99,12 @@ GOLDEN = {
     "power-negative-k": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-resource-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-raised-limit": (0, "3ddadd9e780495abb136c5beb6121e22baab773c8e5367826f423d7357020db3"),
+    "power-character-n9": (0, "528c274c15a32a228722a908dc58c22570d5271b3bb1cf7fd2be2c9b93eddb9d"),
     "chartable-json": (0, "ac0018876cba7c4fb916cd9e0c7fe80b974ce7773f243f538b2cb8394c043a43"),
     "chartable-ascii": (0, "390f885ffd76dac5b839633ea90cb7b9f33e3716f6514ec53b90ec7e9077e326"),
     "chartable-default": (0, "1f6202c67c2dcfe5cae01afe5610d0324bc3749516100a7c4c890409ccf60b29"),
     "chartable-nonpositive": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "chartable-ascii-7": (0, "08a62467262db58ea5ae07a436b5c2bc4ab6a81457f3df01632a26f1d0d66426"),
     "tableaux-count": (0, "528bb9cb97f3c1c46fc7ce108c0fab00028f98585bbf3c962cf8925d554f763e"),
     "tableaux-count-zero": (0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
     "tableaux-list": (0, "63a7529c8d22be9dc4952988d6dde33766db2b82ac98c224d4511e7dc78819b5"),
