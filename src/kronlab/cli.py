@@ -321,6 +321,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(
+            "error: resource limit (recursion depth); use smaller inputs",
+            file=sys.stderr,
+        )
+        return 3
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ def multiplicity_formula(n: int, k: int, lam: Partition) -> int:
             f"formula regime requires n >= k + second part; "
             f"got n={n}, k={k}, lam={lam}"
         )
-    ell = n - lam[0]  # cells of the truncated shape
+    ell = n - (lam[0] if lam else 0)  # cells of the truncated shape
     total = 0
     for m1 in range(0, ell + 1):
         inner = 0

@@ -150,6 +150,19 @@ def test_formula_out_of_regime_exit_2(capsys):
     assert "regime" in err
 
 
+def test_formula_empty_shape(capsys):
+    code, out, _ = run(capsys, "formula", "0", "0", "[]")
+    assert code == 0
+    assert json.loads(out)["multiplicity"] == "1"
+    assert run(capsys, "tableaux", "count", "[]", "[]", "0") == (0, "1\n", "")
+
+
+def test_deep_recursion_is_a_resource_limit(capsys):
+    code, out, err = run(capsys, "formula", "2500", "2000", "[2500]")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: resource limit") and err.count("\n") == 1
+
+
 def test_egf_check(capsys):
     code, out, _ = run(capsys, "egf", "[]", "--order", "8", "--check")
     assert code == 0
