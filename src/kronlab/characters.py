@@ -5,13 +5,18 @@ Character values come from the Murnaghan-Nakayama border-strip recursion,
 run on beta-numbers (first-column hook lengths): removing a strip of size
 r is moving one beta-number down by r, and the strip height is the number
 of beta-numbers jumped over.  Only traces are ever needed, never matrices.
+
+Each irreducible's values are computed once and cached as one row over
+``partitions_of(n)``; the class sizes are cached once per n.  Every route
+is then one exact inner product of such rows: the sum over classes of
+class size times the product of the values, divided by n!.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .partitions import (
     Partition,
@@ -47,12 +52,54 @@ def _mn(lam: Partition, mu: Partition) -> int:
     return total
 
 
+def _checked(*parts) -> tuple[int, list[Partition]]:
+    """The common weight of the given partitions, and the partitions."""
+    parts = [check_partition(p) for p in parts]
+    n = weight(parts[0])
+    if any(weight(p) != n for p in parts):
+        raise ValueError("equal weights required")
+    return n, parts
+
+
 def character_value(lam: Partition, mu: Partition) -> int:
     """Character of the irreducible indexed by lam at the class of type mu."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    if weight(lam) != weight(mu):
-        raise ValueError("character_value requires equal weights")
+    _, (lam, mu) = _checked(lam, mu)
     return _mn(lam, mu)
+
+
+@cache
+def _class_sizes(n: int) -> tuple[int, ...]:
+    return tuple(class_size(gamma) for gamma in partitions_of(n))
+
+
+@cache
+def _chi(lam: Partition) -> tuple[int, ...]:
+    """The irreducible character of lam as a row of values over the
+    partitions of its weight; filled on first use, so one coefficient does
+    not pay for the whole table."""
+    return tuple(_mn(lam, gamma) for gamma in partitions_of(weight(lam)))
+
+
+def _inner(n: int, *rows: tuple[int, ...]) -> int:
+    """Average over S_n of the product of class functions given as rows.
+
+    The average is a multiplicity and must divide exactly; a remainder
+    signals a bug, not bad input, so it aborts loudly.
+    """
+    total = sum(size * prod(values) for size, *values in zip(_class_sizes(n), *rows))
+    coeff, rem = divmod(total, factorial(n))
+    if rem:
+        raise ArithmeticError(f"non-integral multiplicity {total}/{factorial(n)}")
+    return coeff
+
+
+def _project_onto_schur(n: int, *rows: tuple[int, ...]) -> SchurSum:
+    """Expand the product of class functions, given as rows, over irreducibles."""
+    terms = {}
+    for alpha in partitions_of(n):
+        if coeff := _inner(n, *rows, _chi(alpha)):
+            terms[alpha] = coeff
+    return SchurSum(n, terms)
 
 
 @dataclass(frozen=True)
@@ -88,74 +135,24 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-@cache
 def character_table(n: int) -> CharacterTable:
     """Full character table of the symmetric group on n letters."""
     if n < 1:
         raise ValueError("n must be positive")
     ps = partitions_of(n)
-    values = tuple(
-        tuple(character_value(lam, mu) for mu in ps) for lam in ps
-    )
-    return CharacterTable(n, ps, values)
-
-
-def _project_onto_schur(n: int, class_values: dict[Partition, int]) -> SchurSum:
-    """Expand a class function, given by its values, over irreducibles.
-
-    Coefficients come from orthonormality and must divide exactly; a
-    remainder signals a bug, not bad input, so it aborts loudly.
-    """
-    ps = partitions_of(n)
-    sizes = {gamma: class_size(gamma) for gamma in ps}
-    nfact = factorial(n)
-    terms = {}
-    for alpha in ps:
-        total = sum(
-            sizes[gamma] * class_values[gamma] * character_value(alpha, gamma)
-            for gamma in ps
-        )
-        coeff, rem = divmod(total, nfact)
-        if rem:
-            raise ArithmeticError(
-                f"non-integral multiplicity for {alpha}: {total}/{nfact}"
-            )
-        if coeff:
-            terms[alpha] = coeff
-    return SchurSum(n, terms)
+    return CharacterTable(n, ps, tuple(_chi(lam) for lam in ps))
 
 
 def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:
     """Multiplicity of the alpha-irreducible in the lam (x) mu product."""
-    lam, mu, alpha = check_partition(lam), check_partition(mu), check_partition(alpha)
-    n = weight(lam)
-    if weight(mu) != n or weight(alpha) != n:
-        raise ValueError("kron_coefficient requires equal weights")
-    nfact = factorial(n)
-    total = sum(
-        class_size(gamma)
-        * character_value(lam, gamma)
-        * character_value(mu, gamma)
-        * character_value(alpha, gamma)
-        for gamma in partitions_of(n)
-    )
-    coeff, rem = divmod(total, nfact)
-    if rem:
-        raise ArithmeticError(f"non-integral Kronecker sum {total}/{nfact}")
-    return coeff
+    n, (lam, mu, alpha) = _checked(lam, mu, alpha)
+    return _inner(n, _chi(lam), _chi(mu), _chi(alpha))
 
 
 def kron_product_via_characters(lam: Partition, mu: Partition) -> SchurSum:
     """Schur expansion of the product character, via pointwise values."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    n = weight(lam)
-    if weight(mu) != n:
-        raise ValueError("equal weights required")
-    vals = {
-        gamma: character_value(lam, gamma) * character_value(mu, gamma)
-        for gamma in partitions_of(n)
-    }
-    return _project_onto_schur(n, vals)
+    n, (lam, mu) = _checked(lam, mu)
+    return _project_onto_schur(n, _chi(lam), _chi(mu))
 
 
 def kron_power_oracle(n: int, k: int) -> SchurSum:
@@ -164,11 +161,7 @@ def kron_power_oracle(n: int, k: int) -> SchurSum:
         raise ValueError("n must be at least 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    vals = {
-        gamma: character_value((n - 1, 1), gamma) ** k
-        for gamma in partitions_of(n)
-    }
-    return _project_onto_schur(n, vals)
+    return _project_onto_schur(n, tuple(v**k for v in _chi((n - 1, 1))))
 
 
 @cache
@@ -222,13 +215,6 @@ def h_kron_oracle(lam: Partition, mu: Partition) -> SchurSum:
     Uses the permutation character in place of an irreducible one in the
     orthonormality projection; independent of the Schur-operator route.
     """
-    lam, mu = check_partition(lam), check_partition(mu)
-    n = weight(lam)
-    if weight(mu) != n:
-        raise ValueError("equal weights required")
-    vals = {
-        gamma: permutation_character(lam, gamma) * character_value(mu, gamma)
-        for gamma in partitions_of(n)
-    }
-    return _project_onto_schur(n, vals)
-
+    n, (lam, mu) = _checked(lam, mu)
+    perm = tuple(permutation_character(lam, gamma) for gamma in partitions_of(n))
+    return _project_onto_schur(n, perm, _chi(mu))

@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 
 from kronlab.characters import (
+    _inner,
     character_table,
     character_value,
     h_kron_oracle,
@@ -66,6 +67,28 @@ def test_row_and_column_orthogonality(n):
 def test_character_weight_mismatch_rejected():
     with pytest.raises(ValueError):
         character_value((2, 1), (2,))
+
+
+@pytest.mark.parametrize(
+    "route, args",
+    [
+        (kron_coefficient, ((2, 1), (2, 1), (2,))),
+        (kron_coefficient, ((2,), (2, 1), (2, 1))),
+        (kron_product_via_characters, ((2, 1), (2,))),
+        (h_kron_oracle, ((3,), (2, 1, 1))),
+    ],
+)
+def test_routes_reject_unequal_weights(route, args):
+    with pytest.raises(ValueError, match="equal weights"):
+        route(*args)
+
+
+def test_inner_product_must_divide_exactly():
+    # partitions_of(3) is ((3,), (2, 1), (1, 1, 1)): this row is the
+    # indicator of the identity class, whose average over S_3 is 1/6
+    assert _inner(3, (0, 0, 6)) == 1
+    with pytest.raises(ArithmeticError):
+        _inner(3, (0, 0, 1))
 
 
 def test_kron_coefficient_square_of_31():
