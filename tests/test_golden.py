@@ -35,6 +35,8 @@ CASES = {
     "kron-trivial-factor": (["kron", "[5]", "[3,1,1]", "--method=operator"], None),
     "kron-character-n7": (["kron", "[4,2,1]", "[3,2,2]", "--method=character"], None),
     "kron-empty-both": (["kron", "[]", "[]", "--method=both"], None),
+    "kron-operator-n12": (["kron", "[5,3,2,1,1]", "[6,2,2,2]", "--method=operator"], None),
+    "kron-staircase-operator": (["kron", "[5,4,3,2,1]", "[5,4,3,2,1]", "--method=operator"], None),
     "kron-weight-mismatch": (["kron", "[4]", "[2,1]"], None),
     "kron-bad-syntax": (["kron", "[4", "[2,1,1]"], None),
     "kron-unknown-method": (["kron", "[3,1]", "[3,1]", "--method=guess"], None),
@@ -86,6 +88,8 @@ GOLDEN = {
     "kron-trivial-factor": (0, "a1d8aabd546785203b8db30cf8ab701612b0e444d7ee5f6bca67ff963221672f"),
     "kron-character-n7": (0, "a7212602484b2b59a1ecc47a0a23443910bbbe962848f069bf568ace1705de6e"),
     "kron-empty-both": (0, "5bb02b3a9c62d10480b010a9e219b355f4e6b0bfc50cf29a62047f9560a2c9df"),
+    "kron-operator-n12": (0, "d1ccf135fdeb5bf42ebab6b8d3f2ddbf45b1c28e76ab785f881882c5ef9f42c9"),
+    "kron-staircase-operator": (0, "28082ba4720e27c9352a4fd7663305a50c97b34f9e5dbcd2cf945532758f653b"),
     "kron-weight-mismatch": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "kron-bad-syntax": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "kron-unknown-method": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
