@@ -10,7 +10,9 @@ signed monomial h_alpha by the sum over partition tuples
 
 Applied to s_mu this reproduces the Kronecker product expansion without
 touching a character table, and it does not depend on the largest part
-of the indexing partition.
+of the indexing partition.  ``apply`` is one call to the summed composite
+``symfunc.skew_then_multiply``, which shares the skews and products of
+terms with a common prefix of nu's.
 """
 
 from __future__ import annotations
@@ -71,12 +73,7 @@ def build_operator(lambda_bar: Partition) -> KroneckerOperator:
 
 def apply(op: KroneckerOperator, f: SchurSum) -> SchurSum:
     """Apply the operator; degree is preserved term by term."""
-    result = SchurSum.zero(f.degree)
-    for coeff, nus in op.terms:
-        g = skew_then_multiply(nus, f)
-        if g:
-            result = result + g.scale(coeff)
-    return result
+    return skew_then_multiply(op.terms, f)
 
 
 def kron_product_via_operator(lam: Partition, mu: Partition) -> SchurSum:

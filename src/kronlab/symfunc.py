@@ -5,13 +5,22 @@ Schur functions of one common degree.  Multiplication expands through the
 Littlewood-Richardson rule, ``perp`` is the adjoint of multiplication
 under the Hall scalar product, and the ``h``-side operations expand
 products of complete homogeneous functions.
+
+A product of two Schur functions is built directly from its LR fillings,
+adding the content of the smaller factor one label at a time as a
+horizontal strip, and is memoised per pair.  A skew s_lam/gamma is
+expanded once per pair (lam, gamma) and memoised.  The memoised dicts are
+shared, so callers only read them.  ``skew_then_multiply`` is the one
+composite behind the operator route and ``h_inner_s``: it sums a list of
+(coefficient, nu-tuple) terms, computing the skew by each shared prefix
+of nu's once and multiplying by each s_nu once per shared prefix.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product as iproduct
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -166,27 +175,90 @@ def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
     return total
 
 
+@cache
 def _schur_product_terms(gamma: Partition, alpha: Partition) -> dict[Partition, int]:
-    w = weight(gamma) + weight(alpha)
-    widest = (gamma[0] if gamma else 0) + (alpha[0] if alpha else 0)
-    out = {}
-    for mu in partitions_of(w):
-        if len(mu) > len(gamma) + len(alpha) or (mu and mu[0] > widest):
-            continue
-        c = lr_coefficient(gamma, alpha, mu)
-        if c:
-            out[mu] = c
+    """Littlewood-Richardson coefficients of s_gamma * s_alpha, by shape.
+
+    Builds the LR fillings of mu/gamma with content alpha directly, one
+    label at a time: the cells labelled i+1 form a horizontal strip on the
+    shape filled so far, and the reverse reading word stays a lattice
+    word, i.e. for each row r the labels i+1 in rows <= r are no more than
+    the labels i in rows < r.  Partial fillings with the same shape and
+    the same per-row count of the last label continue alike, so each such
+    state is carried once with its number of fillings.
+    """
+    states: dict[tuple[Partition, Partition | None], int] = {(gamma, None): 1}
+    for size in alpha:
+        grown: dict[tuple[Partition, Partition | None], int] = {}
+        for (shape, last), ways in states.items():
+            for state in _lattice_strips(shape, last, size):
+                grown[state] = grown.get(state, 0) + ways
+        states = grown
+    out: dict[Partition, int] = {}
+    for (mu, _), ways in states.items():
+        out[mu] = out.get(mu, 0) + ways
+    return out
+
+
+def _lattice_strips(
+    shape: Partition, last: Partition | None, size: int
+) -> list[tuple[Partition, Partition]]:
+    """Every horizontal strip of ``size`` cells of the next label on
+    ``shape`` that keeps the reading word a lattice word, as (new shape,
+    per-row count of the new label).  ``last`` is the per-row count of the
+    previous label, or None for the first label, which is unconstrained.
+    """
+    rows = len(shape)
+    below = shape + (0,)
+    freed = (last or ()) + (0,) * (rows + 1 - len(last or ()))
+    grown = list(below)
+    counts = [0] * (rows + 1)
+    out = []
+
+    def place(r: int, left: int, allow: int) -> None:
+        # allow: labels i in rows < r minus labels i+1 placed in rows < r
+        if not left:
+            new = tuple(grown) if grown[rows] else tuple(grown[:rows])
+            out.append((new, tuple(counts[:r])))
+            return
+        room = left if r == 0 else below[r - 1] - below[r]
+        # rows below r hold at most below[r] cells of a horizontal strip
+        for k in range(min(left, room, allow), max(0, left - below[r]) - 1, -1):
+            counts[r] = k
+            grown[r] = below[r] + k
+            place(r + 1, left - k, allow - k + freed[r])
+        counts[r] = 0
+        grown[r] = below[r]
+
+    place(0, size, size if last is None else 0)
     return out
 
 
 def multiply(f: SchurSum, g: SchurSum) -> SchurSum:
     """Product of two Schur sums; degrees add."""
+    # c^mu_{pq} = c^mu_{qp}: the factor of smaller weight is the content
+    big, small = (f, g) if f.degree >= g.degree else (g, f)
     result: dict[Partition, int] = {}
-    for p, cp in f.terms.items():
-        for q, cq in g.terms.items():
+    for p, cp in big.terms.items():
+        for q, cq in small.terms.items():
+            c = cp * cq
             for mu, lr in _schur_product_terms(p, q).items():
-                result[mu] = result.get(mu, 0) + cp * cq * lr
+                result[mu] = result.get(mu, 0) + c * lr
     return SchurSum(f.degree + g.degree, result)
+
+
+@cache
+def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
+    """s_lam/gamma in the Schur basis: {alpha: c^lam_{gamma alpha}}."""
+    if not contains(lam, gamma):
+        return {}
+    out = {}
+    for alpha in partitions_of(weight(lam) - weight(gamma)):
+        if contains(lam, alpha):
+            lr = lr_coefficient(gamma, alpha, lam)
+            if lr:
+                out[alpha] = lr
+    return out
 
 
 def perp(gamma: Partition, f: SchurSum) -> SchurSum:
@@ -197,14 +269,8 @@ def perp(gamma: Partition, f: SchurSum) -> SchurSum:
         return SchurSum.zero(0)
     result: dict[Partition, int] = {}
     for lam, c in f.terms.items():
-        if not contains(lam, gamma):
-            continue
-        for alpha in partitions_of(d):
-            if not contains(lam, alpha):
-                continue
-            lr = lr_coefficient(gamma, alpha, lam)
-            if lr:
-                result[alpha] = result.get(alpha, 0) + c * lr
+        for alpha, lr in _skew_terms(lam, gamma).items():
+            result[alpha] = result.get(alpha, 0) + c * lr
     return SchurSum(d, result)
 
 
@@ -265,19 +331,43 @@ def h_to_schur(indices: Partition) -> SchurSum:
     return out
 
 
-def skew_then_multiply(nus: tuple[Partition, ...], f: SchurSum) -> SchurSum:
-    """The composite (multiply by every s_nu) after (skew by every s_nu).
+def skew_then_multiply(
+    terms: Iterable[tuple[int, tuple[Partition, ...]]], f: SchurSum
+) -> SchurSum:
+    """Sum over (coeff, nus) of coeff times the composite (multiply by
+    every s_nu) after (skew by every s_nu), applied to f.
 
-    Stops at the first skew that vanishes and returns zero of f's degree.
+    The skews commute, and so do the products, so each term depends only
+    on the multiset of its nu's; the tuples are sorted alike and then
+    share their prefixes.
     """
-    g = f
-    for nu in nus:
-        g = perp(nu, g)
-        if not g:
-            return SchurSum.zero(f.degree)
-    for nu in nus:
-        g = multiply(SchurSum.schur(nu), g)
-    return g
+    return _shared_prefixes(
+        [(coeff, tuple(sorted(nus, reverse=True))) for coeff, nus in terms], f
+    )
+
+
+def _shared_prefixes(
+    terms: list[tuple[int, tuple[Partition, ...]]], g: SchurSum
+) -> SchurSum:
+    """skew_then_multiply on tuples grouped by their first nu: each
+    group's skew by that nu is computed once, a vanishing skew drops the
+    group, and the product by s_nu is applied once to the group's sum."""
+    result: dict[Partition, int] = {}
+    groups: dict[Partition, list[tuple[int, tuple[Partition, ...]]]] = {}
+    for coeff, nus in terms:
+        if nus:
+            groups.setdefault(nus[0], []).append((coeff, nus[1:]))
+            continue
+        for p, c in g.terms.items():
+            result[p] = result.get(p, 0) + coeff * c
+    for nu, rest in groups.items():
+        skewed = perp(nu, g)
+        if not skewed:
+            continue
+        below = _shared_prefixes(rest, skewed)
+        for mu, c in multiply(SchurSum.schur(nu), below).terms.items():
+            result[mu] = result.get(mu, 0) + c
+    return SchurSum(g.degree, result)
 
 
 def h_inner_s(lam: Partition, mu: Partition) -> SchurSum:
@@ -289,11 +379,8 @@ def h_inner_s(lam: Partition, mu: Partition) -> SchurSum:
     lam, mu = check_partition(lam), check_partition(mu)
     if weight(lam) != weight(mu):
         raise ValueError("h_inner_s requires equal weights")
-    s_mu = SchurSum.schur(mu)
-    result = SchurSum.zero(weight(mu))
-    for nus in iproduct(*(partitions_of(part) for part in lam[1:])):
-        result = result + skew_then_multiply(nus, s_mu)
-    return result
+    nu_tuples = iproduct(*(partitions_of(part) for part in lam[1:]))
+    return skew_then_multiply(((1, nus) for nus in nu_tuples), SchurSum.schur(mu))
 
 
 def schur_sum_to_json(f: SchurSum) -> dict:

@@ -10,9 +10,12 @@ from collections import Counter
 from functools import cache
 
 
+@cache
 def ssyt_polynomial(shape, nvars):
     """Schur polynomial in nvars variables as {exponent tuple: coeff},
-    by listing semistandard tableaux (rows weak, columns strict)."""
+    by listing semistandard tableaux (rows weak, columns strict).
+
+    Memoised: the returned Counter is shared, so callers only read it."""
     shape = tuple(shape)
     if not shape:
         return Counter({(0,) * nvars: 1})

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from kronlab.partitions import partitions_of, weight
+from kronlab import symfunc
+from kronlab.kron_ops import build_operator
+from kronlab.partitions import contains, partitions_of, weight
 from kronlab.symfunc import (
     HMonomial,
     SchurSum,
@@ -15,6 +17,7 @@ from kronlab.symfunc import (
     scalar,
     schur_sum_from_json,
     schur_sum_to_json,
+    skew_then_multiply,
 )
 
 from oracles import polynomial_product, ssyt_polynomial
@@ -64,6 +67,63 @@ def test_multiply_against_evaluation_oracle(a, b):
                 multiply(SchurSum.schur(lam), SchurSum.schur(mu)), nvars
             )
             assert dict(direct) == expanded, (lam, mu)
+
+
+def test_products_match_lr_coefficients_up_to_weight_8():
+    for total in range(0, 9):
+        for a in range(0, total + 1):
+            for gamma in partitions_of(a):
+                for alpha in partitions_of(total - a):
+                    s_gamma, s_alpha = SchurSum.schur(gamma), SchurSum.schur(alpha)
+                    expected = SchurSum(
+                        total,
+                        {mu: lr_coefficient(gamma, alpha, mu) for mu in partitions_of(total)},
+                    )
+                    assert multiply(s_gamma, s_alpha) == expected, (gamma, alpha)
+                    assert multiply(s_alpha, s_gamma) == expected, (alpha, gamma)
+
+
+def test_skews_match_lr_coefficients_up_to_weight_9():
+    for w in range(0, 10):
+        for lam in partitions_of(w):
+            for g in range(0, w + 1):
+                for gamma in partitions_of(g):
+                    if not contains(lam, gamma):
+                        continue
+                    expected = SchurSum(
+                        w - g,
+                        {alpha: lr_coefficient(gamma, alpha, lam) for alpha in partitions_of(w - g)},
+                    )
+                    assert perp(gamma, SchurSum.schur(lam)) == expected, (lam, gamma)
+
+
+def composite_per_tuple(terms, f):
+    """Reference for skew_then_multiply: every tuple on its own, in the
+    order given, skewing and then multiplying one nu at a time."""
+    total = {}
+    for coeff, nus in terms:
+        g = f
+        for nu in nus:
+            g = perp(nu, g)
+        for nu in nus:
+            g = multiply(SchurSum.schur(nu), g)
+        for mu, c in g.terms.items():
+            total[mu] = total.get(mu, 0) + coeff * c
+    return SchurSum(f.degree, total)
+
+
+def test_summed_composite_matches_per_tuple_reference():
+    rng = random.Random(20261018)
+    for size in range(0, 5):
+        for lambda_bar in partitions_of(size):
+            terms = build_operator(lambda_bar).terms
+            for _ in range(3):
+                n = rng.randint(0, 9)
+                f = SchurSum.schur(rng.choice(partitions_of(n)))
+                assert skew_then_multiply(terms, f) == composite_per_tuple(terms, f), (
+                    lambda_bar,
+                    f,
+                )
 
 
 def test_perp_examples():
@@ -180,3 +240,42 @@ def test_concurrent_lr_calls_match_serial():
     lr_coefficient.cache_clear()
     serial = [lr_coefficient(*t) for t in triples]
     assert threaded == serial
+
+
+def test_concurrent_products_and_skews_match_serial():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def clear_memos():
+        for obj in vars(symfunc).values():
+            if getattr(obj, "__module__", None) == symfunc.__name__ and hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    calls = [
+        (multiply, SchurSum.schur(p), SchurSum.schur(q))
+        for p in partitions_of(4)
+        for q in partitions_of(3)
+    ] + [
+        (perp, gamma, SchurSum.schur(lam))
+        for lam in partitions_of(7)
+        for gamma in partitions_of(3)
+    ]
+    calls *= 4
+    clear_memos()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda c: c[0](*c[1:]), calls, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    clear_memos()
+    serial = [fn(*args) for fn, *args in calls]
+    assert threaded == serial
+
+    # the memoised dicts are shared between calls and never written to
+    f = SchurSum(3, {(2, 1): 3, (3,): -2})
+    g = SchurSum(4, {(2, 2): 5, (3, 1): 1})
+    first = multiply(f, g)
+    assert multiply(f, g) == first
+    assert perp((2, 1), first) == perp((2, 1), multiply(f, g))
