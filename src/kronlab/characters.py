@@ -7,16 +7,21 @@ r is moving one beta-number down by r, and the strip height is the number
 of beta-numbers jumped over.  Only traces are ever needed, never matrices.
 
 Each irreducible's values are computed once and cached as one row over
-``partitions_of(n)``; the class sizes are cached once per n.  Every route
-is then one exact inner product of such rows: the sum over classes of
-class size times the product of the values, divided by n!.
+``partitions_of(n)``; the class sizes are cached once per n.  The cached
+rows are shared, so callers only read them.  Every route is then one
+exact inner product of such rows: the sum over classes of class size
+times the product of the values, divided by n!.  A projection onto all
+irreducibles forms that weighted product once and takes one dot product
+per irreducible.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
+from operator import mul
 
 from .partitions import (
     Partition,
@@ -33,22 +38,16 @@ def _mn(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    present = set(beta)
+    beta = [part + i for i, part in enumerate(reversed(lam))]  # ascending
     total = 0
-    for b in beta:
-        low = b - r
-        if low < 0 or low in present:
+    for j in range(bisect_left(beta, r), len(beta)):
+        low = beta[j] - r
+        pos = bisect_left(beta, low)
+        if beta[pos] == low:
             continue
-        height = sum(1 for x in beta if low < x < b)
-        new = sorted((x for x in beta if x != b), reverse=True)
-        new.append(low)
-        new.sort(reverse=True)
-        parts = tuple(x - (m - 1 - i) for i, x in enumerate(new))
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        total += (-1 if height % 2 else 1) * _mn(parts, rest)
+        new = beta[:pos] + [low] + beta[pos:j] + beta[j + 1 :]
+        parts = tuple(x - i for i, x in enumerate(new) if x > i)[::-1]
+        total += (-1 if (j - pos) % 2 else 1) * _mn(parts, rest)
     return total
 
 
@@ -80,24 +79,34 @@ def _chi(lam: Partition) -> tuple[int, ...]:
     return tuple(_mn(lam, gamma) for gamma in partitions_of(weight(lam)))
 
 
-def _inner(n: int, *rows: tuple[int, ...]) -> int:
-    """Average over S_n of the product of class functions given as rows.
-
-    The average is a multiplicity and must divide exactly; a remainder
-    signals a bug, not bad input, so it aborts loudly.
-    """
-    total = sum(size * prod(values) for size, *values in zip(_class_sizes(n), *rows))
+def _average(n: int, total: int) -> int:
+    """``total`` over n!, which is a multiplicity and must divide exactly; a
+    remainder signals a bug, not bad input, so it aborts loudly."""
     coeff, rem = divmod(total, factorial(n))
     if rem:
         raise ArithmeticError(f"non-integral multiplicity {total}/{factorial(n)}")
     return coeff
 
 
+def _weighted(n: int, *rows: tuple[int, ...]) -> list[int]:
+    """Class size times the product of the rows' values, class by class."""
+    return [size * prod(values) for size, *values in zip(_class_sizes(n), *rows)]
+
+
+def _inner(n: int, *rows: tuple[int, ...]) -> int:
+    """Average over S_n of the product of class functions given as rows."""
+    return _average(n, sum(_weighted(n, *rows)))
+
+
 def _project_onto_schur(n: int, *rows: tuple[int, ...]) -> SchurSum:
-    """Expand the product of class functions, given as rows, over irreducibles."""
+    """Expand the product of class functions, given as rows, over irreducibles.
+
+    The class-size-weighted product is formed once; each irreducible then
+    costs one dot product with its row."""
+    weighted = _weighted(n, *rows)
     terms = {}
     for alpha in partitions_of(n):
-        if coeff := _inner(n, *rows, _chi(alpha)):
+        if coeff := _average(n, sum(map(mul, weighted, _chi(alpha)))):
             terms[alpha] = coeff
     return SchurSum(n, terms)
 

@@ -20,6 +20,7 @@ SCHEMA = "kronlab/1"
 
 DEFAULT_MAX_N = 8
 DEFAULT_MAX_K = 10
+DEFAULT_MAX_CHARTABLE_N = 16
 DEFAULT_LIST_LIMIT = 100000
 
 
@@ -107,6 +108,12 @@ def cmd_power(args) -> int:
 
 
 def cmd_chartable(args) -> int:
+    if args.n > args.max_n:
+        print(
+            f"error: resource limit (n <= {args.max_n}); raise --max-n to proceed",
+            file=sys.stderr,
+        )
+        return 3
     table = characters.character_table(args.n)
     if args.format == "ascii":
         print(table.ascii_render())
@@ -271,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=["json", "ascii"], default=_default_format()
     )
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_CHARTABLE_N)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("tableaux", help="count or list corner-move walks")

@@ -13,6 +13,11 @@ touching a character table, and it does not depend on the largest part
 of the indexing partition.  ``apply`` is one call to the summed composite
 ``symfunc.skew_then_multiply``, which shares the skews and products of
 terms with a common prefix of nu's.
+
+Powers of the (n-1,1) irreducible are memoised in ``_powers`` per
+``(n, k)`` and carried forward from the largest cached power below k, so
+a sweep over k = 0..K costs K operator applications per n.  The stored
+sums are shared, so callers only read them.
 """
 
 from __future__ import annotations
@@ -84,15 +89,25 @@ def kron_product_via_operator(lam: Partition, mu: Partition) -> SchurSum:
     return apply(build_operator(lam[1:]), SchurSum.schur(mu))
 
 
+# (n, k) -> k-th power of the (n-1,1) irreducible; values are only read
+_powers: dict[tuple[int, int], SchurSum] = {}
+
+
 def kron_power_nm1(n: int, k: int) -> SchurSum:
     """k-th Kronecker power of the (n-1,1) irreducible, by iterating the
-    single-cell operator on the one-row Schur function."""
+    single-cell operator on the one-row Schur function, starting from the
+    largest power of the same n already computed."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    for done in range(k, 0, -1):
+        if (f := _powers.get((n, done))) is not None:
+            break
+    else:
+        done, f = 0, SchurSum.schur((n,))
     op = build_operator((1,))
-    f = SchurSum.schur((n,))
-    for _ in range(k):
+    for _ in range(k - done):
         f = apply(op, f)
+    _powers[n, k] = f
     return f

@@ -8,6 +8,11 @@ of such walks from the one-row shape equals a Kronecker-power
 multiplicity, so exhaustive and transfer-matrix counts here cross-check
 the operator and character routes.
 
+Walk counts from a shape mu are memoised in ``_endpoints`` per ``(mu, k)``,
+one vector over all final shapes, and carried forward from the longest
+walks from mu already counted.  The stored vectors are shared, so callers
+only read them.
+
 When the first row stays long enough (n >= k + second part of the final
 shape) the walks biject with shorter walks started at the empty shape,
 and from there with pairs (T, pi) via RSK insertion and deletion.
@@ -177,21 +182,31 @@ def _transition_map(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]
     return table
 
 
+# (mu, k) -> {final shape: number of length-k walks from mu}; only read
+_endpoints: dict[tuple[Partition, int], dict[Partition, int]] = {}
+
+
 def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
-    """Number of length-k walks from mu to every shape they reach, by k
-    transfer-matrix steps."""
+    """Number of length-k walks from mu to every shape they reach, by
+    transfer-matrix steps from the longest walks from mu already counted.
+    The returned dict is shared, so callers only read it."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     table = _transition_map(weight(mu))
-    vec = {mu: 1}
-    for _ in range(k):
+    if k and not table[mu]:
+        return {}  # n <= 1: no walk has a step; from n = 2 on none dies
+    for done in range(k, 0, -1):
+        if (vec := _endpoints.get((mu, done))) is not None:
+            break
+    else:
+        done, vec = 0, {mu: 1}
+    for _ in range(k - done):
         nxt: dict[Partition, int] = {}
         for p, c in vec.items():
             for q, m in table[p]:
                 nxt[q] = nxt.get(q, 0) + c * m
         vec = nxt
-        if not vec:
-            break
+    _endpoints[mu, k] = vec
     return vec
 
 

@@ -71,6 +71,43 @@ def standard_fillings_count(shape):
     return total
 
 
+@cache
+def vandermonde(m):
+    """a_delta = det(x_i^(m-1-j)) in m variables, as {exponent tuple: sign}."""
+    from itertools import permutations
+
+    out = {}
+    for sigma in permutations(range(m)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(m) for j in range(i + 1, m))
+        out[tuple(m - 1 - s for s in sigma)] = (-1) ** inversions
+    return out
+
+
+@cache
+def power_sum_product(gamma, m):
+    """p_gamma = prod_r (x_1^r + ... + x_m^r) as {exponent tuple: coeff},
+    one factor at a time, so partitions with a common prefix share work."""
+    if not gamma:
+        return Counter({(0,) * m: 1})
+    r = gamma[-1]
+    power_sum = Counter({tuple(r if j == i else 0 for j in range(m)): 1 for i in range(m)})
+    return polynomial_product(power_sum_product(gamma[:-1], m), power_sum)
+
+
+def frobenius_character(lam, gamma):
+    """Irreducible character value chi^lam(gamma) by Frobenius' formula: the
+    coefficient of x^(lam + delta) in a_delta * p_gamma, in len(lam)
+    variables.  Plain polynomial arithmetic; no beta-numbers, no border
+    strips."""
+    lam, m = tuple(lam), len(lam)
+    target = [part + m - 1 - i for i, part in enumerate(lam)]
+    a_delta = vandermonde(m)
+    return sum(
+        coeff * a_delta.get(tuple(t - e for t, e in zip(target, expo)), 0)
+        for expo, coeff in power_sum_product(tuple(gamma), m).items()
+    )
+
+
 def set_partitions(items):
     """All set partitions of a list, as lists of tuples."""
     items = list(items)

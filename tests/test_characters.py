@@ -15,6 +15,8 @@ from kronlab.characters import (
 from kronlab.partitions import class_size, partitions_of, standard_tableaux_count
 from kronlab.symfunc import SchurSum, h_inner_s
 
+from oracles import frobenius_character
+
 S4_TABLE = (
     (1, 1, 1, 1, 1),
     (-1, 0, -1, 1, 3),
@@ -190,3 +192,14 @@ def test_h_kron_oracle_matches_operator_expansion(n):
     for lam in partitions_of(n):
         for mu in partitions_of(n):
             assert h_kron_oracle(lam, mu) == h_inner_s(lam, mu), (lam, mu)
+
+
+def test_character_table_matches_frobenius_formula():
+    # The row cache's values come from the beta-number kernel; this oracle
+    # reads them off a_delta * p_gamma instead.
+    for n in range(1, 9):
+        table = character_table(n)
+        for lam, row in zip(table.partitions, table.values):
+            assert row == tuple(
+                frobenius_character(lam, gamma) for gamma in table.partitions
+            ), (n, lam)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 from kronlab.cli import ROUTES, main
 from kronlab.symfunc import SchurSum
@@ -86,6 +87,21 @@ def test_chartable_env_default_format(capsys, monkeypatch):
     code, out, _ = run(capsys, "chartable", "4")
     assert code == 0
     assert S4_ASCII_ROW in out.splitlines()
+
+
+def test_chartable_resource_limit_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chartable", "40")
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert err.startswith("error: resource limit") and err.count("\n") == 1
+
+
+def test_chartable_ceiling_is_its_own_option(capsys):
+    assert run(capsys, "chartable", "10", "--format=json")[0] == 0
+    assert run(capsys, "chartable", "4", "--max-n", "3")[0] == 3
+    code, out, _ = run(capsys, "chartable", "4", "--max-n", "4")
+    assert code == 0 and json.loads(out)["n"] == 4
 
 
 def test_tableaux_count(capsys):
