@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (and agreement for cross-checked runs), 1 verified
-disagreement between routes, 2 usage or input error, 3 resource limit.
+disagreement between routes, 2 usage, input or output error, 3 resource
+limit (memory included).
 All output is deterministic for a fixed invocation; JSON payloads carry
 a ``schema`` version key.
 """
@@ -325,7 +326,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -335,6 +338,18 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
+    except MemoryError:
+        print("error: resource limit (memory); use smaller inputs", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader has gone; what is still buffered goes nowhere, so
+            # the interpreter's final flush prints nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,14 +6,16 @@ Littlewood-Richardson rule, ``perp`` is the adjoint of multiplication
 under the Hall scalar product, and the ``h``-side operations expand
 products of complete homogeneous functions.
 
-A product of two Schur functions is built directly from its LR fillings,
-adding the content of the smaller factor one label at a time as a
-horizontal strip, and is memoised per pair.  A skew s_lam/gamma is
-expanded once per pair (lam, gamma) and memoised.  The memoised dicts are
-shared, so callers only read them.  ``skew_then_multiply`` is the one
-composite behind the operator route and ``h_inner_s``: it sums a list of
-(coefficient, nu-tuple) terms, computing the skew by each shared prefix
-of nu's once and multiplying by each s_nu once per shared prefix.
+One engine counts LR fillings: a product of two Schur functions is built
+from them directly, adding the content of the smaller factor one label
+at a time as a horizontal strip, and is memoised per pair.
+``lr_coefficient`` reads its coefficient from that per-pair memo, and a
+skew s_lam/gamma is expanded from those coefficients once per pair
+(lam, gamma) and memoised.  The memoised dicts are shared, so callers
+only read them.  ``skew_then_multiply`` is the one composite behind the
+operator route and ``h_inner_s``: it sums a list of (coefficient,
+nu-tuple) terms, computing the skew by each shared prefix of nu's once
+and multiplying by each s_nu once per shared prefix.
 """
 
 from __future__ import annotations
@@ -125,54 +127,19 @@ class HMonomial(NamedTuple):
 def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
     """Littlewood-Richardson coefficient of s_mu in s_gamma * s_alpha.
 
-    Counts the semistandard fillings of the skew shape mu/gamma with
-    content alpha whose reverse reading word (right to left along rows,
-    longest row first) is a lattice word.  Cells are filled in reading
-    order so row/column/lattice constraints are checked incrementally.
+    Read from the memoised product of the pair, which is shared with
+    ``multiply`` and only read.  By c^mu_{gamma alpha} = c^mu_{alpha gamma}
+    the factor of smaller weight is the content, the first argument on a
+    tie, as in ``multiply``; so the skew by nu and the product by s_nu of
+    the operator route read the same memo entries.
     """
     gamma, alpha, mu = tuple(gamma), tuple(alpha), tuple(mu)
     if weight(gamma) + weight(alpha) != weight(mu):
         return 0
     if not contains(mu, gamma) or not contains(mu, alpha):
         return 0
-    if not alpha:
-        return 1
-    nrows = len(mu)
-    inner = tuple(gamma) + (0,) * (nrows - len(gamma))
-    # cells in reverse reading order: longest row on top, each row right
-    # to left; both neighbours that constrain a cell are then already set
-    cells = []
-    for r in range(nrows):
-        for c in range(mu[r] - 1, inner[r] - 1, -1):
-            cells.append((r, c))
-    maxval = len(alpha)
-    grid = [[0] * mu[r] for r in range(nrows)]
-    counts = [0] * (maxval + 1)
-    total = 0
-
-    def fill(idx: int) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        # right neighbour already filled; entry must not exceed it
-        hi = grid[r][c + 1] if c + 1 < mu[r] else maxval
-        # cell above (row r-1) already filled when it is part of the skew
-        lo = grid[r - 1][c] + 1 if r > 0 and c >= inner[r - 1] else 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= alpha[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice word would break
-            grid[r][c] = v
-            counts[v] += 1
-            fill(idx + 1)
-            counts[v] -= 1
-        grid[r][c] = 0
-
-    fill(0)
-    return total
+    big, small = (gamma, alpha) if weight(gamma) >= weight(alpha) else (alpha, gamma)
+    return _schur_product_terms(big, small).get(mu, 0)
 
 
 @cache

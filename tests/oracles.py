@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Nothing here calls back into the routines under test: polynomials are
-expanded monomial by monomial, tableaux and set partitions are listed
-exhaustively, and the partition function comes from the pentagonal
-recurrence.
+expanded monomial by monomial, tableaux, LR fillings and set partitions
+are listed exhaustively, and the partition function comes from the
+pentagonal recurrence.
 """
 
 from collections import Counter
@@ -106,6 +106,55 @@ def frobenius_character(lam, gamma):
         coeff * a_delta.get(tuple(t - e for t, e in zip(target, expo)), 0)
         for expo, coeff in power_sum_product(tuple(gamma), m).items()
     )
+
+
+def lr_fillings(gamma, alpha, mu):
+    """Littlewood-Richardson coefficient c^mu_{gamma alpha}, by listing the
+    semistandard fillings of mu/gamma with content alpha whose reverse
+    reading word (right to left along rows, longest row first) is a lattice
+    word.  Cells are filled in reading order, one at a time, so the row,
+    column and lattice constraints are checked as each cell is set."""
+    gamma, alpha, mu = tuple(gamma), tuple(alpha), tuple(mu)
+    if sum(gamma) + sum(alpha) != sum(mu):
+        return 0
+
+    def inside(small):
+        return len(small) <= len(mu) and all(s <= m for s, m in zip(small, mu))
+
+    if not inside(gamma) or not inside(alpha):
+        return 0
+    nrows = len(mu)
+    inner = gamma + (0,) * (nrows - len(gamma))
+    # both neighbours that constrain a cell come earlier in this order
+    cells = [(r, c) for r in range(nrows) for c in range(mu[r] - 1, inner[r] - 1, -1)]
+    maxval = len(alpha)
+    grid = [[0] * mu[r] for r in range(nrows)]
+    counts = [0] * (maxval + 1)
+    total = 0
+
+    def fill(idx):
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        r, c = cells[idx]
+        # the entry may not exceed its right neighbour
+        hi = grid[r][c + 1] if c + 1 < mu[r] else maxval
+        # and must exceed the cell above when that cell is in the skew
+        lo = grid[r - 1][c] + 1 if r > 0 and c >= inner[r - 1] else 1
+        for v in range(lo, hi + 1):
+            if counts[v] >= alpha[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue  # the reading word would stop being a lattice word
+            grid[r][c] = v
+            counts[v] += 1
+            fill(idx + 1)
+            counts[v] -= 1
+        grid[r][c] = 0
+
+    fill(0)
+    return total
 
 
 def set_partitions(items):

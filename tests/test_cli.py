@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from kronlab.cli import ROUTES, main
 from kronlab.symfunc import SchurSum
@@ -289,3 +293,43 @@ def test_verify_reports_disagreement(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert [row["ok"] for row in payload["rows"]] == [True, True, True, True, True, False]
+
+
+def raise_(exc):
+    def route(*args):
+        raise exc
+
+    return route
+
+
+def test_memory_error_is_a_resource_limit(capsys, monkeypatch):
+    monkeypatch.setitem(ROUTES["operator"], "kron", raise_(MemoryError()))
+    code, out, err = run(capsys, "kron", "[2,1]", "[2,1]")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: resource limit (memory)") and err.count("\n") == 1
+
+
+def test_os_error_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setitem(ROUTES["operator"], "kron", raise_(OSError("disk gone")))
+    code, out, err = run(capsys, "kron", "[2,1]", "[2,1]")
+    assert (code, out, err) == (2, "", "error: disk gone\n")
+
+
+def test_closed_stdout_pipe_exit_2_without_traceback(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # about 350 kB of walks, far more than a pipe buffers, so writing
+    # goes on after the reader has closed its end
+    argv = ["tableaux", "list", "[6]", "[4,2]", "8"]
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kronlab.cli", *argv],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"[6] ")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        err.seek(0)
+        stderr = err.read()
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1

@@ -20,7 +20,7 @@ from kronlab.symfunc import (
     skew_then_multiply,
 )
 
-from oracles import polynomial_product, ssyt_polynomial
+from oracles import lr_fillings, polynomial_product, ssyt_polynomial
 
 
 def schur_eval(f, nvars):
@@ -40,8 +40,18 @@ def test_lr_examples():
 
 
 def test_lr_weight_mismatch_is_zero():
-    assert lr_coefficient((2, 1), (1,), (2, 1)) == 0
-    assert lr_coefficient((3,), (1,), (2, 1, 1)) == 0  # gamma not inside mu
+    cases = [
+        ((2, 1), (1,), (2, 1)),
+        ((1,), (1,), (3,)),
+        ((3,), (1,), (2, 1, 1)),  # gamma not inside mu
+        ((1, 1, 1), (1,), (4,)),  # gamma longer than mu
+        ((1,), (3,), (2, 1, 1)),  # alpha not inside mu
+        ((1,), (1, 1, 1), (3, 1)),  # alpha longer than mu
+    ]
+    for gamma, alpha, mu in cases:
+        assert lr_fillings(gamma, alpha, mu) == 0, (gamma, alpha, mu)
+        assert lr_coefficient(gamma, alpha, mu) == 0, (gamma, alpha, mu)
+        assert lr_coefficient(alpha, gamma, mu) == 0, (alpha, gamma, mu)
 
 
 def test_multiply_examples():
@@ -77,7 +87,7 @@ def test_products_match_lr_coefficients_up_to_weight_8():
                     s_gamma, s_alpha = SchurSum.schur(gamma), SchurSum.schur(alpha)
                     expected = SchurSum(
                         total,
-                        {mu: lr_coefficient(gamma, alpha, mu) for mu in partitions_of(total)},
+                        {mu: lr_fillings(gamma, alpha, mu) for mu in partitions_of(total)},
                     )
                     assert multiply(s_gamma, s_alpha) == expected, (gamma, alpha)
                     assert multiply(s_alpha, s_gamma) == expected, (alpha, gamma)
@@ -92,9 +102,25 @@ def test_skews_match_lr_coefficients_up_to_weight_9():
                         continue
                     expected = SchurSum(
                         w - g,
-                        {alpha: lr_coefficient(gamma, alpha, lam) for alpha in partitions_of(w - g)},
+                        {alpha: lr_fillings(gamma, alpha, lam) for alpha in partitions_of(w - g)},
                     )
                     assert perp(gamma, SchurSum.schur(lam)) == expected, (lam, gamma)
+
+
+def test_lr_coefficient_matches_lr_fillings_up_to_weight_8():
+    outside = 0
+    for total in range(0, 9):
+        for a in range(0, total + 1):
+            for gamma in partitions_of(a):
+                for alpha in partitions_of(total - a):
+                    for mu in partitions_of(total):
+                        expected = lr_fillings(gamma, alpha, mu)
+                        assert lr_coefficient(gamma, alpha, mu) == expected, (gamma, alpha, mu)
+                        assert lr_coefficient(alpha, gamma, mu) == expected, (alpha, gamma, mu)
+                        if not (contains(mu, gamma) and contains(mu, alpha)):
+                            outside += 1
+                            assert expected == 0, (gamma, alpha, mu)
+    assert outside > 0
 
 
 def composite_per_tuple(terms, f):
