@@ -2,12 +2,15 @@
 
 Nothing here calls back into the routines under test: polynomials are
 expanded monomial by monomial, tableaux, LR fillings and set partitions
-are listed exhaustively, and the partition function comes from the
-pentagonal recurrence.
+are listed exhaustively, walk steps are recomputed cell by cell, the
+partition function comes from the pentagonal recurrence and exponentials
+of series from their power sums.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import cache
+from math import factorial
 
 
 @cache
@@ -193,44 +196,62 @@ def partition_count(n):
     return total
 
 
+def corner_rows(p):
+    """0-based rows whose last cell is a corner of p."""
+    return [i for i in range(len(p)) if i + 1 == len(p) or p[i + 1] < p[i]]
+
+
+def addable_rows(p):
+    """0-based rows that can take one more cell, len(p) for a new row."""
+    return [i for i in range(len(p)) if i == 0 or p[i] < p[i - 1]] + [len(p)]
+
+
+def walk_steps(p):
+    """Legal walk steps from p as (next shape, mark), computed inline rather
+    than through the library: every single-corner move to a different shape,
+    then a stay marked (row, col) on each corner but the first, the corner
+    on the topmost row of maximal length; moves in reverse lexicographic
+    order, stays top row first."""
+    p = tuple(p)
+    moves = set()
+    for i in corner_rows(p):
+        smaller = list(p)
+        smaller[i] -= 1
+        if smaller[-1] == 0:
+            smaller.pop()
+        for j in addable_rows(smaller):
+            bigger = smaller + [0] if j == len(smaller) else list(smaller)
+            bigger[j] += 1
+            if tuple(bigger) != p:
+                moves.add(tuple(bigger))
+    first = p.count(p[0]) - 1 if p else None
+    stays = [(p, (i + 1, p[i])) for i in reversed(corner_rows(p)) if i != first]
+    return [(q, None) for q in sorted(moves, reverse=True)] + stays
+
+
 def walk_count_recursive(mu, lam, k):
-    """Walk counter written from first principles: recompute corners and
-    single-cell moves inline rather than through the library."""
+    """Walk counter written from first principles on top of walk_steps."""
     mu, lam = tuple(mu), tuple(lam)
-
-    def corner_rows(p):
-        return [
-            i for i in range(len(p)) if i + 1 == len(p) or p[i + 1] < p[i]
-        ]
-
-    def addable_rows(p):
-        return [i for i in range(len(p)) if i == 0 or p[i] < p[i - 1]] + [len(p)]
 
     @cache
     def count(p, steps):
         if steps == 0:
             return 1 if p == lam else 0
-        total = 0
-        for i in corner_rows(p):
-            smaller = list(p)
-            smaller[i] -= 1
-            if smaller[-1] == 0:
-                smaller.pop()
-            for j in addable_rows(tuple(smaller)):
-                bigger = list(smaller)
-                if j == len(bigger):
-                    bigger.append(1)
-                else:
-                    bigger[j] += 1
-                q = tuple(bigger)
-                if q != p:
-                    total += count(q, steps - 1)
-        stays = len(corner_rows(p)) - 1
-        if stays > 0:
-            total += stays * count(p, steps - 1)
-        return total
+        return sum(count(q, steps - 1) for q, _ in walk_steps(p))
 
     return count(mu, k)
+
+
+def exp_series(f):
+    """exp of a power series with zero constant term, truncated at the
+    length of f: the sum of f**j / j! for j <= K, by plain list products."""
+    K = len(f) - 1
+    out = [Fraction(0)] * (K + 1)
+    power = [Fraction(1)] + [Fraction(0)] * K
+    for j in range(K + 1):
+        out = [o + c / factorial(j) for o, c in zip(out, power)]
+        power = [sum(power[a] * f[i - a] for a in range(i + 1)) for i in range(K + 1)]
+    return out
 
 
 def decreasing_cycle_permutations(k):

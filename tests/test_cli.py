@@ -6,8 +6,12 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from kronlab.cli import ROUTES, main
 from kronlab.symfunc import SchurSum
+
+from test_golden import CASES, GOLDEN
 
 S4_ASCII_ROW = "[2,1,1]      1      0     -1       -1          3"
 
@@ -98,7 +102,7 @@ def test_chartable_resource_limit_exit_3(capsys):
     code, out, err = run(capsys, "chartable", "40")
     assert time.perf_counter() - start < 5
     assert code == 3 and out == ""
-    assert err.startswith("error: resource limit") and err.count("\n") == 1
+    assert err == "error: resource limit (n <= 16); raise --max-n to proceed\n"
 
 
 def test_chartable_ceiling_is_its_own_option(capsys):
@@ -333,3 +337,42 @@ def test_closed_stdout_pipe_exit_2_without_traceback(tmp_path):
         stderr = err.read()
     assert "Traceback" not in stderr
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+# the one stderr line of every failing golden case that argparse does not
+# answer itself
+GOLDEN_STDERR = {
+    "kron-weight-mismatch": "error: weight mismatch (4,) vs (2, 1)",
+    "kron-bad-syntax": "error: partition must look like [4,2,1], got '[4'",
+    "power-n-too-small": "error: n must be at least 2",
+    "power-negative-k": "error: k must be nonnegative",
+    "power-resource-limit": (
+        "error: resource limit (n <= 8, k <= 10); raise --max-n/--max-k to proceed"
+    ),
+    "chartable-nonpositive": "error: n must be positive",
+    "tableaux-list-limit": "error: more than 5 walks from (5,) to (3, 2)",
+    "tableaux-weight-mismatch": "error: weight mismatch (4,) vs (2, 1)",
+    "tableaux-nonpositive-limit": "error: --limit must be positive",
+    "bijection-bad-walk": "error: stay at step 1 needs a distinguished non-first corner",
+    "formula-out-of-regime": (
+        "error: formula regime requires n >= k + second part; got n=4, k=3, lam=(2, 2)"
+    ),
+    "egf-order-too-small": "error: --order must be at least the weight 3 of (2, 1)",
+    "verify-resource-limit": (
+        "error: resource limit (n <= 8, k <= 10); raise --max-n/--max-k to proceed"
+    ),
+}
+ARGPARSE_CASES = {"kron-unknown-method", "no-command"}
+
+
+def test_golden_stderr_covers_every_failing_case():
+    failing = {case for case, (code, _) in GOLDEN.items() if code}
+    assert failing == set(GOLDEN_STDERR) | ARGPARSE_CASES
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_STDERR))
+def test_golden_stderr(case, capsys, monkeypatch):
+    argv, stdin = CASES[case]
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (GOLDEN[case][0], GOLDEN_STDERR[case] + "\n")

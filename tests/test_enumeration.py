@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -15,7 +16,7 @@ from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import partitions_of, standard_tableaux_count
 from kronlab.tableaux import bijection_regime_ok, count_kronecker_tableaux
 
-from oracles import set_partitions
+from oracles import exp_series, set_partitions
 
 
 def test_p2_base_cases():
@@ -109,6 +110,16 @@ def test_truncated_egf_arithmetic():
     assert x.exp() == e
     with pytest.raises(ValueError):
         (one).exp()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exp_matches_power_sum_oracle(seed):
+    rng = random.Random(seed)
+    for K in range(13):
+        f = [Fraction(0)] + [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K)
+        ]
+        assert TruncatedEGF(f).exp().coeffs == tuple(exp_series(f))
 
 
 def test_no_small_blocks_series():

@@ -127,6 +127,25 @@ def test_walk_validation():
         KroneckerTableau(((4,), (2, 2)), (None,))
     with pytest.raises(ValueError):  # weight change
         KroneckerTableau(((4,), (3,)), (None,))
+    with pytest.raises(ValueError, match="move at step 1 cannot carry a mark"):
+        KroneckerTableau(((4,), (3, 1)), ((2, 1),))
+
+
+@pytest.mark.parametrize(
+    "shapes, marks",
+    [
+        (((), (2,)), (None,)),  # adds two cells in one row
+        (((), (1,), (2, 1)), (None, None)),  # adds two cells in two rows
+        (((), (1,)), ((1, 1),)),  # mark on an add
+        (((), (1,), ()), (None, (1, 1))),  # mark on a remove
+        (((), (1,), (2,), (1, 1)), (None, None, (2, 1))),  # mark on a move
+        (((), (1,), (1,)), (None, None)),  # stay without a mark
+        (((), (1,), (2,), (2,)), (None, None, (1, 1))),  # stay on a non-corner
+    ],
+)
+def test_reduced_walk_rejects_illegal_steps(shapes, marks):
+    with pytest.raises(ValueError):
+        ReducedWalk(shapes, marks)
 
 
 def test_strip_and_unstrip_long_walk():
