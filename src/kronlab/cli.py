@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success (and agreement for cross-checked runs), 1 verified
-disagreement between routes, 2 usage, input or output error, 3 resource
-limit (memory included).
+Exit codes: 0 success (and agreement for cross-checked runs); 1 verified
+disagreement, which only ``kron``/``power`` with several routes, ``verify``
+and ``egf --check`` report; 2 usage, input or output error, and any
+internal error; 3 resource limit (memory included).  Subcommands return 0
+or 1 and raise for everything else; ``main`` alone turns an exception into
+one ``error:`` line on stderr and its exit code.
 All output is deterministic for a fixed invocation; JSON payloads carry
 a ``schema`` version key.
 """
@@ -74,47 +77,41 @@ def _emit_agreed(results: dict[str, symfunc.SchurSum]) -> int:
     return 1
 
 
-def _check_power_args(args) -> int:
-    """Exit code for a bad (n, k) after printing why; 0 when it may run."""
+def _limit(**caps: int) -> tableaux.EnumerationLimitError:
+    """The exit-3 error for an input beyond its ``--max-<name>`` caps."""
+    bounds = ", ".join(f"{name} <= {cap}" for name, cap in caps.items())
+    options = "/".join(f"--max-{name}" for name in caps)
+    return tableaux.EnumerationLimitError(
+        f"resource limit ({bounds}); raise {options} to proceed"
+    )
+
+
+def _check_power_args(args) -> None:
+    """Raise for an (n, k) that may not run."""
     if args.n < 2:
-        print("error: n must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("n must be at least 2")
     if args.n > args.max_n or args.k > args.max_k:
-        print(
-            f"error: resource limit (n <= {args.max_n}, k <= {args.max_k}); "
-            "raise --max-n/--max-k to proceed",
-            file=sys.stderr,
-        )
-        return 3
+        raise _limit(n=args.max_n, k=args.max_k)
     if args.k < 0:
-        print("error: k must be nonnegative", file=sys.stderr)
-        return 2
-    return 0
+        raise ValueError("k must be nonnegative")
 
 
 def cmd_kron(args) -> int:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     if weight(lam) != weight(mu):
-        print(f"error: weight mismatch {lam} vs {mu}", file=sys.stderr)
-        return 2
+        raise ValueError(f"weight mismatch {lam} vs {mu}")
     return _emit_agreed(_run_routes("kron", args.method, lam, mu))
 
 
 def cmd_power(args) -> int:
-    status = _check_power_args(args)
-    if status:
-        return status
+    _check_power_args(args)
     return _emit_agreed(_run_routes("power", args.method, args.n, args.k))
 
 
 def cmd_chartable(args) -> int:
     if args.n > args.max_n:
-        print(
-            f"error: resource limit (n <= {args.max_n}); raise --max-n to proceed",
-            file=sys.stderr,
-        )
-        return 3
+        raise _limit(n=args.max_n)
     table = characters.character_table(args.n)
     if args.format == "ascii":
         print(table.ascii_render())
@@ -133,20 +130,13 @@ def cmd_tableaux(args) -> int:
     mu = parse_partition(args.mu)
     lam = parse_partition(args.lam)
     if weight(mu) != weight(lam):
-        print(f"error: weight mismatch {mu} vs {lam}", file=sys.stderr)
-        return 2
+        raise ValueError(f"weight mismatch {mu} vs {lam}")
     if args.limit <= 0:
-        print("error: --limit must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--limit must be positive")
     if args.action == "count":
         print(tableaux.count_kronecker_tableaux(mu, lam, args.k))
         return 0
-    try:
-        walks = tableaux.list_kronecker_tableaux(mu, lam, args.k, limit=args.limit)
-    except tableaux.EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    for walk in walks:
+    for walk in tableaux.list_kronecker_tableaux(mu, lam, args.k, limit=args.limit):
         print(tableaux.format_walk(walk))
     return 0
 
@@ -155,25 +145,17 @@ def cmd_bijection(args) -> int:
     if args.walkfile in (None, "-"):
         lines = sys.stdin.read().splitlines()
     else:
-        try:
-            with open(args.walkfile, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.walkfile, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     for line in lines:
         if not line.strip():
             continue
-        try:
-            walk = tableaux.parse_walk(line)
-            n = weight(walk.initial)
-            if walk.initial != (n,):
-                raise ValueError("bijection requires a one-row initial shape")
-            k = walk.length
-            T, pi = tableaux.to_pair(walk, n, k, require_regime=False)
-        except (ValueError, tableaux.BijectionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        walk = tableaux.parse_walk(line)
+        n = weight(walk.initial)
+        if walk.initial != (n,):
+            raise ValueError("bijection requires a one-row initial shape")
+        k = walk.length
+        T, pi = tableaux.to_pair(walk, n, k, require_regime=False)
         _emit(
             {
                 "n": n,
@@ -189,11 +171,7 @@ def cmd_bijection(args) -> int:
 
 def cmd_formula(args) -> int:
     lam = parse_partition(args.lam)
-    try:
-        value = enumeration.multiplicity_formula(args.n, args.k, lam)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = enumeration.multiplicity_formula(args.n, args.k, lam)
     _emit(
         {
             "n": args.n,
@@ -208,11 +186,7 @@ def cmd_formula(args) -> int:
 def cmd_egf(args) -> int:
     lb = parse_partition(args.lambda_bar)
     if args.order < weight(lb):
-        print(
-            f"error: --order must be at least the weight {weight(lb)} of {lb}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--order must be at least the weight {weight(lb)} of {lb}")
     if args.check:
         rows = enumeration.egf_check(lb, args.order)
         _emit({"lambda_bar": list(lb), "order": args.order, "rows": rows})
@@ -229,9 +203,7 @@ def cmd_egf(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    status = _check_power_args(args)
-    if status:
-        return status
+    _check_power_args(args)
     rows = [
         {"n": n, "k": k, "ok": _agree(_run_routes("power", "all", n, k))}
         for n in range(2, args.n + 1)
@@ -330,17 +302,13 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return status
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, status = str(exc), 2
+    except tableaux.EnumerationLimitError as exc:
+        message, status = str(exc), 3
     except RecursionError:
-        print(
-            "error: resource limit (recursion depth); use smaller inputs",
-            file=sys.stderr,
-        )
-        return 3
+        message, status = "resource limit (recursion depth); use smaller inputs", 3
     except MemoryError:
-        print("error: resource limit (memory); use smaller inputs", file=sys.stderr)
-        return 3
+        message, status = "resource limit (memory); use smaller inputs", 3
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader has gone; what is still buffered goes nowhere, so
@@ -348,8 +316,11 @@ def main(argv=None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, status = str(exc), 2
+    except Exception as exc:  # a fault of kronlab itself, never a disagreement
+        message, status = f"internal error ({type(exc).__name__}): {exc}", 2
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -120,15 +120,18 @@ class TruncatedEGF:
         return out
 
     def exp(self) -> "TruncatedEGF":
-        """exp of a series with zero constant term, exactly truncated."""
-        if self.coeffs[0] != 0:
+        """exp of a series with zero constant term, exactly truncated.
+
+        g = exp(f) solves g' = f'g, so g_0 = 1 and
+        n g_n = sum_{j=1..n} j f_j g_{n-j}, which takes O(K^2) products."""
+        f = self.coeffs
+        if f[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        out = TruncatedEGF.one(self.order)
-        power = TruncatedEGF.one(self.order)
-        for j in range(1, self.order + 1):
-            power = power * self
-            out = out + power.scale(Fraction(1, factorial(j)))
-        return out
+        g = [Fraction(1)]
+        for n in range(1, self.order + 1):
+            terms = (j * f[j] * g[n - j] for j in range(1, n + 1) if f[j])
+            g.append(sum(terms, Fraction(0)) / n)
+        return TruncatedEGF(g)
 
     @staticmethod
     def one(K: int) -> "TruncatedEGF":

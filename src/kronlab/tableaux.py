@@ -39,7 +39,7 @@ from .symfunc import SchurSum
 
 
 class EnumerationLimitError(RuntimeError):
-    """Raised when a listing would exceed the configured cap."""
+    """Raised when a listing, or an input, would exceed its configured cap."""
 
 
 class BijectionError(ValueError):
@@ -50,34 +50,26 @@ class BijectionError(ValueError):
 # walk objects
 
 
-def _step_kind(p: Partition, q: Partition) -> str:
-    """Classify a reduced-walk step: add, remove, move or stay."""
+def _step_cells(
+    p: Partition, q: Partition, mark: Cell | None
+) -> tuple[Cell | None, Cell | None]:
+    """The corner a reduced-walk step from p to q vacates and the cell it
+    fills: an add vacates nothing, a remove fills nothing, a move does both
+    and a stay vacates and refills its marked corner.  Raises ValueError
+    for any other step."""
     if p == q:
-        return "stay"
-    dp, dq = weight(p), weight(q)
+        if mark not in corners(p).corners:
+            raise ValueError(f"stay at {p} needs a corner mark, not {mark}")
+        return mark, mark
     rows = max(len(p), len(q))
-    pp = p + (0,) * (rows - len(p))
-    qq = q + (0,) * (rows - len(q))
-    deltas = [qq[i] - pp[i] for i in range(rows)]
-    gained = sum(1 for d in deltas if d == 1)
-    lost = sum(1 for d in deltas if d == -1)
-    if gained + lost != sum(1 for d in deltas if d != 0):
-        raise ValueError(f"shapes {p} -> {q} differ by more than single cells")
-    if dq == dp + 1 and gained == 1 and lost == 0:
-        return "add"
-    if dq == dp - 1 and gained == 0 and lost == 1:
-        return "remove"
-    if dq == dp and gained == 1 and lost == 1:
-        return "move"
-    raise ValueError(f"illegal step {p} -> {q}")
-
-
-def _added_cell(p: Partition, q: Partition) -> Cell:
-    """The unique cell of q that is not in p."""
-    for i in range(len(q)):
-        if i >= len(p) or q[i] > p[i]:
-            return (i + 1, q[i])
-    raise ValueError(f"{q} does not extend {p}")
+    pp, qq = p + (0,) * (rows - len(p)), q + (0,) * (rows - len(q))
+    deltas = {i: qq[i] - pp[i] for i in range(rows) if qq[i] != pp[i]}
+    if mark is not None or sorted(deltas.values()) not in ([-1], [1], [-1, 1]):
+        raise ValueError(f"illegal step {p} -> {q} with mark {mark}")
+    check_partition(q)
+    vacated = next(((i + 1, pp[i]) for i, d in deltas.items() if d < 0), None)
+    filled = next(((i + 1, qq[i]) for i, d in deltas.items() if d > 0), None)
+    return vacated, filled
 
 
 @dataclass(frozen=True)
@@ -90,22 +82,18 @@ class KroneckerTableau:
     def __post_init__(self):
         if len(self.marks) != len(self.shapes) - 1:
             raise ValueError("need exactly one mark slot per step")
-        w = weight(self.shapes[0])
-        for idx in range(1, len(self.shapes)):
-            p, q, mark = self.shapes[idx - 1], self.shapes[idx], self.marks[idx - 1]
-            if weight(q) != w:
-                raise ValueError("all shapes must have equal weight")
+        check_partition(self.shapes[0])
+        steps = zip(self.shapes, self.shapes[1:], self.marks)
+        for idx, (p, q, mark) in enumerate(steps, 1):
+            if (q, mark) in _steps(p):
+                continue
             if q == p:
-                cs = corners(q)
-                if mark is None or mark not in cs.corners or mark == cs.first_corner:
-                    raise ValueError(
-                        f"stay at step {idx} needs a distinguished non-first corner"
-                    )
-            else:
-                if _step_kind(p, q) != "move":
-                    raise ValueError(f"step {idx} is not a corner move")
-                if mark is not None:
-                    raise ValueError(f"move at step {idx} cannot carry a mark")
+                raise ValueError(
+                    f"stay at step {idx} needs a distinguished non-first corner"
+                )
+            if mark is not None and (q, None) in _steps(p):
+                raise ValueError(f"move at step {idx} cannot carry a mark")
+            raise ValueError(f"step {idx} is not a corner move")
 
     @property
     def length(self) -> int:
@@ -133,14 +121,8 @@ class ReducedWalk:
             raise ValueError("need exactly one mark slot per step")
         if self.shapes[0] != ():
             raise ValueError("reduced walks start at the empty shape")
-        for idx in range(1, len(self.shapes)):
-            p, q, mark = self.shapes[idx - 1], self.shapes[idx], self.marks[idx - 1]
-            kind = _step_kind(p, q)
-            if kind == "stay":
-                if mark is None or mark not in corners(q).corners:
-                    raise ValueError(f"stay at step {idx} needs a corner mark")
-            elif mark is not None:
-                raise ValueError(f"{kind} at step {idx} cannot carry a mark")
+        for step in zip(self.shapes, self.shapes[1:], self.marks):
+            _step_cells(*step)
 
     @property
     def length(self) -> int:
@@ -151,24 +133,28 @@ class ReducedWalk:
 # successor structure and counting
 
 
+@cache
+def _steps(p: Partition) -> tuple[tuple[Partition, Cell | None], ...]:
+    """The legal steps from the partition p as (next shape, mark): corner
+    moves to a different shape (canonical order of the results), then a
+    stay marked with each corner other than the first corner.  Shared, so
+    callers only read it."""
+    cs = corners(p)
+    moves = {
+        q
+        for c in cs.corners
+        for q in add_corner_positions(remove_corner(p, c))
+        if q != p
+    }
+    return tuple((q, None) for q in canonical_sort(moves)) + tuple(
+        (p, c) for c in cs.corners if c != cs.first_corner
+    )
+
+
 def successors(p: Partition) -> list[tuple[Partition, Cell | None]]:
     """Legal next steps from p: corner moves first (canonical order of the
     results), then one stay per corner other than the first corner."""
-    p = check_partition(p)
-    if not p:
-        return []
-    cs = corners(p)
-    moves = set()
-    for c in cs.corners:
-        trimmed = remove_corner(p, c)
-        for q in add_corner_positions(trimmed):
-            if q != p:
-                moves.add(q)
-    out: list[tuple[Partition, Cell | None]] = [
-        (q, None) for q in canonical_sort(moves)
-    ]
-    out.extend((p, c) for c in cs.corners if c != cs.first_corner)
-    return out
+    return list(_steps(check_partition(p)))
 
 
 @cache
@@ -176,7 +162,7 @@ def _transition_map(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]
     table = {}
     for p in partitions_of(n):
         mults: dict[Partition, int] = {}
-        for q, _mark in successors(p):
+        for q, _mark in _steps(p):
             mults[q] = mults.get(q, 0) + 1
         table[p] = tuple(sorted(mults.items(), reverse=True))
     return table
@@ -252,7 +238,7 @@ def list_kronecker_tableaux(
                     )
                 found.append(KroneckerTableau(tuple(shapes), tuple(marks)))
             return
-        for q, mark in successors(shapes[-1]):
+        for q, mark in _steps(shapes[-1]):
             shapes.append(q)
             marks.append(mark)
             dfs(depth + 1)
@@ -501,9 +487,10 @@ def to_pair(
 ) -> tuple[PartialStandardTableau, DecCyclePermutation]:
     """Encode a walk started at (n) as a pair (T, pi).
 
-    Walk the stripped shapes; a growth step writes its index into the new
-    corner, every shrink or corner re-seating RSK-deletes the departing
-    corner and records the transposition (step, ejected label)."""
+    Walk the stripped shapes; step i RSK-deletes the corner it vacates,
+    if any, and records the transposition (i, ejected label), then writes
+    i into the cell it fills, if any (a stay vacates and refills its
+    marked corner)."""
     walk = strip_first_row(K, n, k, require_regime)
     T = PartialStandardTableau.empty()
     pi = list(range(k + 1))
@@ -516,23 +503,14 @@ def to_pair(
         pi[xi], pi[xj] = j, i
         inv[i], inv[j] = xj, xi
 
-    for i in range(1, k + 1):
-        prev, cur = walk.shapes[i - 1], walk.shapes[i]
-        mark = walk.marks[i - 1]
-        kind = _step_kind(prev, cur)
-        if kind == "add":
-            T = _place_label(T, _added_cell(prev, cur), i)
-        elif kind == "remove":
-            T, j = rsk_delete(T, _added_cell(cur, prev))
+    steps = zip(walk.shapes, walk.shapes[1:], walk.marks)
+    for i, step in enumerate(steps, 1):
+        vacated, filled = _step_cells(*step)
+        if vacated is not None:
+            T, j = rsk_delete(T, vacated)
             transpose(i, j)
-        elif kind == "move":
-            T, j = rsk_delete(T, _added_cell(cur, prev))
-            T = _place_label(T, _added_cell(prev, cur), i)
-            transpose(i, j)
-        else:  # stay with distinguished corner
-            T, j = rsk_delete(T, mark)
-            T = _place_label(T, mark, i)
-            transpose(i, j)
+        if filled is not None:
+            T = _place_label(T, filled, i)
     return T, DecCyclePermutation.from_mapping(pi)
 
 

@@ -243,8 +243,8 @@ def walk_count_recursive(mu, lam, k):
 
 
 def exp_series(f):
-    """exp of a power series with zero constant term, truncated at the
-    length of f: the sum of f**j / j! for j <= K, by plain list products."""
+    """exp of a power series f_0..f_K with zero constant term, truncated at
+    order K: the sum of f**j / j! for j <= K, by plain list products."""
     K = len(f) - 1
     out = [Fraction(0)] * (K + 1)
     power = [Fraction(1)] + [Fraction(0)] * K

@@ -319,6 +319,13 @@ def test_os_error_is_exit_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: disk gone\n")
 
 
+def test_unexpected_exception_is_an_internal_error_exit_2(capsys, monkeypatch):
+    monkeypatch.setitem(ROUTES["operator"], "kron", raise_(KeyError("lost")))
+    code, out, err = run(capsys, "kron", "[2,1]", "[2,1]")
+    assert (code, out) == (2, "")
+    assert err == "error: internal error (KeyError): 'lost'\n"
+
+
 def test_closed_stdout_pipe_exit_2_without_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

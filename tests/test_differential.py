@@ -19,8 +19,8 @@ from kronlab.tableaux import (
     format_walk,
     from_pair,
     parse_walk,
-    to_pair,
     successors,
+    to_pair,
     walk_counts,
 )
 

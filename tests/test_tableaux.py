@@ -129,6 +129,9 @@ def test_walk_validation():
         KroneckerTableau(((4,), (3,)), (None,))
     with pytest.raises(ValueError, match="move at step 1 cannot carry a mark"):
         KroneckerTableau(((4,), (3, 1)), ((2, 1),))
+    for shapes in (((1, 2),), ((1, 2), (2, 1))):  # first shape not a partition
+        with pytest.raises(ValueError, match="not a partition"):
+            KroneckerTableau(shapes, (None,) * (len(shapes) - 1))
 
 
 @pytest.mark.parametrize(
