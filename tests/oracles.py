@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Nothing here calls back into the routines under test: polynomials are
-expanded monomial by monomial, tableaux, LR fillings and set partitions
-are listed exhaustively, walk steps are recomputed cell by cell, the
-partition function comes from the pentagonal recurrence and exponentials
-of series from their power sums.
+expanded monomial by monomial, tableaux, LR fillings, set partitions and
+walks are listed exhaustively, walk steps are recomputed cell by cell,
+character values come from border-strip removal, the partition function
+comes from the pentagonal recurrence and exponentials of series from
+their power sums.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -109,6 +111,31 @@ def frobenius_character(lam, gamma):
         coeff * a_delta.get(tuple(t - e for t, e in zip(target, expo)), 0)
         for expo, coeff in power_sum_product(tuple(gamma), m).items()
     )
+
+
+@cache
+def mn_character(lam, gamma):
+    """Irreducible character value chi^lam(gamma) by the Murnaghan-Nakayama
+    rule in the removal direction: strip a border strip of size gamma[0]
+    off lam in every way, with sign (-1)^height, and recurse on the rest of
+    gamma.  On beta-numbers (first-column hook lengths) removing a strip of
+    size r moves one beta-number down by r, and its height is the number of
+    beta-numbers jumped over.  Recursion depth is len(gamma)."""
+    lam, gamma = tuple(lam), tuple(gamma)
+    if not gamma:
+        return 1
+    r, rest = gamma[0], gamma[1:]
+    beta = [part + i for i, part in enumerate(reversed(lam))]  # ascending
+    total = 0
+    for j in range(bisect_left(beta, r), len(beta)):
+        low = beta[j] - r
+        pos = bisect_left(beta, low)
+        if beta[pos] == low:
+            continue
+        new = beta[:pos] + [low] + beta[pos:j] + beta[j + 1 :]
+        parts = tuple(x - i for i, x in enumerate(new) if x > i)[::-1]
+        total += (-1 if (j - pos) % 2 else 1) * mn_character(parts, rest)
+    return total
 
 
 def lr_fillings(gamma, alpha, mu):
@@ -240,6 +267,36 @@ def walk_count_recursive(mu, lam, k):
         return sum(count(q, steps - 1) for q, _ in walk_steps(p))
 
     return count(mu, k)
+
+
+def walks_by_final_shape(mu, k):
+    """Every length-k walk from mu over walk_steps, in depth-first order and
+    unpruned, grouped by final shape as (shapes, marks) pairs."""
+    steps = cache(walk_steps)
+    out = {}
+
+    def extend(shapes, marks):
+        if len(marks) == k:
+            out.setdefault(shapes[-1], []).append((shapes, marks))
+            return
+        for q, mark in steps(shapes[-1]):
+            extend(shapes + (q,), marks + (mark,))
+
+    extend((tuple(mu),), ())
+    return out
+
+
+@cache
+def p2_recursive(n, m):
+    """Set partitions of an n-set into m blocks of size >= 2, by
+    p2(n, m) = m*p2(n-1, m) + (n-1)*p2(n-2, m-1): the element n joins one
+    of the m blocks of a partition of the rest, or forms a block of two
+    with one of the other n-1 elements."""
+    if n < 2 * m or m < 0:
+        return 0
+    if m == 0:
+        return 1 if n == 0 else 0
+    return m * p2_recursive(n - 1, m) + (n - 1) * p2_recursive(n - 2, m - 1)
 
 
 def exp_series(f):

@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -15,7 +16,7 @@ from kronlab.characters import (
 from kronlab.partitions import class_size, partitions_of, standard_tableaux_count
 from kronlab.symfunc import SchurSum, h_inner_s
 
-from oracles import frobenius_character
+from oracles import frobenius_character, mn_character
 
 S4_TABLE = (
     (1, 1, 1, 1, 1),
@@ -203,3 +204,23 @@ def test_character_table_matches_frobenius_formula():
             assert row == tuple(
                 frobenius_character(lam, gamma) for gamma in table.partitions
             ), (n, lam)
+
+
+def test_character_table_matches_removal_oracle():
+    # the table adds border strips; this oracle removes them, row by row
+    for n in range(1, 15):
+        table = character_table(n)
+        for lam, row in zip(table.partitions, table.values):
+            assert row == tuple(mn_character(lam, gamma) for gamma in table.partitions)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_character_value_on_random_pairs(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(0, 16)
+        lam, gamma = rng.choice(partitions_of(n)), rng.choice(partitions_of(n))
+        value = character_value(lam, gamma)
+        assert value == mn_character(lam, gamma), (lam, gamma)
+        if n <= 8:
+            assert value == frobenius_character(lam, gamma), (lam, gamma)

@@ -16,7 +16,7 @@ from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import partitions_of, standard_tableaux_count
 from kronlab.tableaux import bijection_regime_ok, count_kronecker_tableaux
 
-from oracles import exp_series, set_partitions
+from oracles import exp_series, p2_recursive, set_partitions
 
 
 def test_p2_base_cases():
@@ -38,6 +38,12 @@ def test_p2_against_exhaustive_set_partitions(n):
     for m in range(0, n + 1):
         assert p2(n, m) == by_blocks.get(m, 0)
     assert sum(p2(n, m) for m in range(n + 1)) == singleton_free
+
+
+def test_p2_against_recursive_oracle():
+    for n in range(40):
+        for m in range(20):
+            assert p2(n, m) == p2_recursive(n, m), (n, m)
 
 
 @pytest.mark.parametrize("n", range(0, 13))

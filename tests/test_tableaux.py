@@ -33,6 +33,7 @@ from oracles import (
     decreasing_cycle_permutations,
     standard_fillings_count,
     walk_count_recursive,
+    walks_by_final_shape,
 )
 
 WALK9_5_TO_32 = "[5] [4,1] [4,1]*2:1 [3,2] [3,1,1] [2,2,1] [2,2,1]*3:1 [2,1,1,1] [2,2,1] [3,2]"
@@ -95,6 +96,17 @@ def test_counts_from_general_initial_shape():
             for k in range(0, 4):
                 cnt = count_kronecker_tableaux(mu, lam, k)
                 assert cnt == walk_count_recursive(mu, lam, k)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_listing_matches_unpruned_oracle(n):
+    # same walks in the same order, for every pair of end shapes
+    for mu in partitions_of(n):
+        for k in range(0, 6):
+            by_final = walks_by_final_shape(mu, k)
+            for lam in partitions_of(n):
+                listed = list_kronecker_tableaux(mu, lam, k)
+                assert [(K.shapes, K.marks) for K in listed] == by_final.get(lam, [])
 
 
 def test_list_examples():
