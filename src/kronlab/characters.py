@@ -1,23 +1,31 @@
 """Irreducible characters of the symmetric group and the character-table
 route to Kronecker coefficients.
 
-Character values come from the Murnaghan-Nakayama border-strip recursion,
-run on beta-numbers (first-column hook lengths): removing a strip of size
-r is moving one beta-number down by r, and the strip height is the number
-of beta-numbers jumped over.  Only traces are ever needed, never matrices.
+The character table is filled by columns.  Column mu holds the values of
+every irreducible at the class of type mu, which are the coefficients of
+the Schur expansion of the power sum p_mu.  Since p_mu = p_r * p_rest with
+r = mu[0] and rest = mu[1:], column mu comes from the column of rest by
+adding every border strip of size r to each of its shapes, with sign
+(-1)^height (the Murnaghan-Nakayama rule read in the adding direction,
+Macdonald I.7).  On beta-numbers (first-column hook lengths) adding a
+strip of size r moves one beta-number up by r, and the strip height is
+the number of beta-numbers jumped over.  The strips added to a shape are
+memoised per (shape, r).  The columns of each weight are built from
+those of smaller weights, smallest weight first, so no recursion depth
+grows with n.  Only traces are ever needed, never matrices.
 
-Each irreducible's values are computed once and cached as one row over
-``partitions_of(n)``; the class sizes are cached once per n.  The cached
-rows are shared, so callers only read them.  Every route is then one
-exact inner product of such rows: the sum over classes of class size
-times the product of the values, divided by n!.  A projection onto all
-irreducibles forms that weighted product once and takes one dot product
-per irreducible.
+Each irreducible's values are then one row of the table of its weight;
+the table and the class sizes are cached once per n and shared, so
+callers only read them.  A single value is one sweep over the parts of
+mu with the same strips, keeping only the shapes that fit inside lam.
+Every route is one exact inner product of rows: the sum over classes of
+class size times the product of the values, divided by n!.  A projection
+onto all irreducibles forms that weighted product once and takes one dot
+product per irreducible.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
@@ -27,6 +35,7 @@ from .partitions import (
     Partition,
     check_partition,
     class_size,
+    contains,
     partitions_of,
     weight,
 )
@@ -34,21 +43,68 @@ from .symfunc import SchurSum
 
 
 @cache
-def _mn(lam: Partition, mu: Partition) -> int:
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    beta = [part + i for i, part in enumerate(reversed(lam))]  # ascending
-    total = 0
-    for j in range(bisect_left(beta, r), len(beta)):
-        low = beta[j] - r
-        pos = bisect_left(beta, low)
-        if beta[pos] == low:
+def _strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """Every shape made by adding a border strip of size r to lam, with the
+    sign (-1)^height of the strip.  Shared, so callers only read it."""
+    rows = lam + (0,) * r  # a strip adds at most r rows
+    top = len(rows) - 1
+    beta = [part + top - i for i, part in enumerate(rows)]  # descending
+    out = []
+    p = 0
+    for j, b in enumerate(beta):
+        # beta[j] moves up to b + r and lands at row p; rows p..j-1, the
+        # strip's height, each move down one row and gain one cell
+        while beta[p] > b + r:
+            p += 1
+        if beta[p] == b + r:
             continue
-        new = beta[:pos] + [low] + beta[pos:j] + beta[j + 1 :]
-        parts = tuple(x - i for i, x in enumerate(new) if x > i)[::-1]
-        total += (-1 if (j - pos) % 2 else 1) * _mn(parts, rest)
-    return total
+        moved = tuple(x + 1 for x in rows[p:j])
+        shape = lam[:p] + (rows[j] + r - (j - p),) + moved + lam[j + 1 :]
+        out.append((shape, -1 if (j - p) % 2 else 1))
+    return tuple(out)
+
+
+def _add_strips(
+    states: dict[Partition, int], r: int, inside: Partition | None = None
+) -> dict[Partition, int]:
+    """The Schur expansion times p_r: every strip of size r added to every
+    shape, keeping only the shapes inside ``inside`` when it is given."""
+    out: dict[Partition, int] = {}
+    for shape, coeff in states.items():
+        for lam, sign in _strips(shape, r):
+            if inside is None or contains(inside, lam):
+                out[lam] = out.get(lam, 0) + sign * coeff
+    return {lam: v for lam, v in out.items() if v}
+
+
+@cache
+def _columns(n: int) -> dict[Partition, dict[Partition, int]]:
+    """Column mu of the character table for every mu of weight n: the Schur
+    expansion of p_mu as {lam: value}, without zeros.  Shared, so callers
+    only read it."""
+    if n == 0:
+        return {(): {(): 1}}
+    for smaller in range(n):
+        _columns(smaller)  # fill in increasing weight: the recursion stays shallow
+    return {
+        mu: _add_strips(_columns(n - mu[0])[mu[1:]], mu[0])
+        for mu in partitions_of(n)
+    }
+
+
+@cache
+def _table(n: int) -> dict[Partition, tuple[int, ...]]:
+    """Every irreducible of weight n as its row of values over the
+    partitions of n.  Shared, so callers only read it."""
+    ps = partitions_of(n)
+    columns = [_columns(n)[mu] for mu in ps]
+    return {lam: tuple(col.get(lam, 0) for col in columns) for lam in ps}
+
+
+def _chi(lam: Partition) -> tuple[int, ...]:
+    """The irreducible character of lam as a row of values over the
+    partitions of its weight."""
+    return _table(weight(lam))[lam]
 
 
 def _checked(*parts) -> tuple[int, list[Partition]]:
@@ -63,20 +119,15 @@ def _checked(*parts) -> tuple[int, list[Partition]]:
 def character_value(lam: Partition, mu: Partition) -> int:
     """Character of the irreducible indexed by lam at the class of type mu."""
     _, (lam, mu) = _checked(lam, mu)
-    return _mn(lam, mu)
+    states = {(): 1}
+    for r in mu:
+        states = _add_strips(states, r, lam)
+    return states.get(lam, 0)
 
 
 @cache
 def _class_sizes(n: int) -> tuple[int, ...]:
     return tuple(class_size(gamma) for gamma in partitions_of(n))
-
-
-@cache
-def _chi(lam: Partition) -> tuple[int, ...]:
-    """The irreducible character of lam as a row of values over the
-    partitions of its weight; filled on first use, so one coefficient does
-    not pay for the whole table."""
-    return tuple(_mn(lam, gamma) for gamma in partitions_of(weight(lam)))
 
 
 def _average(n: int, total: int) -> int:
@@ -149,7 +200,8 @@ def character_table(n: int) -> CharacterTable:
     if n < 1:
         raise ValueError("n must be positive")
     ps = partitions_of(n)
-    return CharacterTable(n, ps, tuple(_chi(lam) for lam in ps))
+    rows = _table(n)
+    return CharacterTable(n, ps, tuple(rows[lam] for lam in ps))
 
 
 def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:

@@ -26,6 +26,7 @@ DEFAULT_MAX_N = 8
 DEFAULT_MAX_K = 10
 DEFAULT_MAX_CHARTABLE_N = 16
 DEFAULT_LIST_LIMIT = 100000
+DEFAULT_MAX_WALK_K = 1000
 
 
 def _emit(payload: dict) -> None:
@@ -133,6 +134,8 @@ def cmd_tableaux(args) -> int:
         raise ValueError(f"weight mismatch {mu} vs {lam}")
     if args.limit <= 0:
         raise ValueError("--limit must be positive")
+    if args.k > args.max_k:
+        raise _limit(k=args.max_k)
     if args.action == "count":
         print(tableaux.count_kronecker_tableaux(mu, lam, args.k))
         return 0
@@ -260,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam", metavar="lambda", help="final shape")
     p.add_argument("k", type=int)
     p.add_argument("--limit", type=int, default=DEFAULT_LIST_LIMIT)
+    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_WALK_K)
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser(
@@ -297,6 +301,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact answers are printed in full, however many digits they have
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         status = args.func(args)
         sys.stdout.flush()
@@ -319,6 +326,8 @@ def main(argv=None) -> int:
         message, status = str(exc), 2
     except Exception as exc:  # a fault of kronlab itself, never a disagreement
         message, status = f"internal error ({type(exc).__name__}): {exc}", 2
+    finally:
+        sys.set_int_max_str_digits(digits)
     print(f"error: {message}", file=sys.stderr)
     return status
 

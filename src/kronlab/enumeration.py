@@ -10,24 +10,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb, factorial
 
 from .partitions import Partition, check_partition, standard_tableaux_count, weight
 from .tableaux import bijection_regime_ok
 
 
+def _p2_rows(k: int):
+    """Rows p2(0..k, m) for m = 0, 1, ..., k // 2, each built from the one
+    before by p2(n, m) = m*p2(n-1, m) + (n-1)*p2(n-2, m-1): the element n
+    joins one of the m blocks of a partition of the others, or forms a
+    block of two with one of them.  Rows of larger m are zero."""
+    row = [1] + [0] * k
+    yield row
+    for m in range(1, k // 2 + 1):
+        prev, row = row, [0] * (k + 1)
+        for n in range(2 * m, k + 1):
+            row[n] = m * row[n - 1] + (n - 1) * prev[n - 2]
+        yield row
+
+
 @cache
 def p2(n: int, m: int) -> int:
-    """Set partitions of an n-set into m blocks, every block of size >= 2.
+    """Set partitions of an n-set into m blocks, every block of size >= 2."""
+    if n < 0 or m < 0 or n < 2 * m:
+        return 0
+    return next(islice(_p2_rows(n), m, None))[n]
 
-    Recurrence: p2(n, m) = m*p2(n-1, m) + (n-1)*p2(n-2, m-1)."""
-    if n < 0 or m < 0:
-        return 0
-    if n < 2 * m:
-        return 0
-    if m == 0:
-        return 1 if n == 0 else 0
-    return m * p2(n - 1, m) + (n - 1) * p2(n - 2, m - 1)
+
+@cache
+def _formula_sum(k: int, ell: int) -> int:
+    """The double sum of ``multiplicity_formula`` over fixed points m1 and
+    blocks m2 (k letters, ell cells below the first row), read off one pass
+    over the rows of p2."""
+    total = 0
+    for m2, row in enumerate(_p2_rows(k)):
+        for m1 in range(max(0, ell - m2), min(ell, k) + 1):
+            total += comb(k, m1) * comb(m2, ell - m1) * row[k - m1]
+    return total
 
 
 def multiplicity_formula(n: int, k: int, lam: Partition) -> int:
@@ -50,13 +71,7 @@ def multiplicity_formula(n: int, k: int, lam: Partition) -> int:
             f"got n={n}, k={k}, lam={lam}"
         )
     ell = n - (lam[0] if lam else 0)  # cells of the truncated shape
-    total = 0
-    for m1 in range(0, ell + 1):
-        inner = 0
-        for m2 in range(ell - m1, (k - m1) // 2 + 1):
-            inner += comb(m2, ell - m1) * p2(k - m1, m2)
-        total += comb(k, m1) * inner
-    return standard_tableaux_count(lam[1:]) * total
+    return standard_tableaux_count(lam[1:]) * _formula_sum(k, ell)
 
 
 class TruncatedEGF:

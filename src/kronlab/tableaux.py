@@ -218,34 +218,36 @@ def list_kronecker_tableaux(
 ) -> list[KroneckerTableau]:
     """Exhaustive listing in deterministic DFS order.
 
-    Raises EnumerationLimitError as soon as more than ``limit`` walks
-    would be produced."""
+    A walk only continues from a shape that reaches lam in the steps left;
+    the steps are symmetric, so those shapes are the ends of the walks from
+    lam of that length.  Raises EnumerationLimitError as soon as more than
+    ``limit`` walks would be produced."""
     mu, lam = check_partition(mu), check_partition(lam)
     if weight(mu) != weight(lam):
         raise ValueError("equal weights required")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    # reach[d]: the shapes with a walk of length d to lam
+    reach = [_walk_endpoints(lam, d) for d in range(k + 1)]
     found: list[KroneckerTableau] = []
-    shapes: list[Partition] = [mu]
-    marks: list[Cell | None] = []
-
-    def dfs(depth: int) -> None:
-        if depth == k:
-            if shapes[-1] == lam:
-                if limit is not None and len(found) >= limit:
-                    raise EnumerationLimitError(
-                        f"more than {limit} walks from {mu} to {lam}"
-                    )
-                found.append(KroneckerTableau(tuple(shapes), tuple(marks)))
-            return
-        for q, mark in _steps(shapes[-1]):
-            shapes.append(q)
-            marks.append(mark)
-            dfs(depth + 1)
-            shapes.pop()
-            marks.pop()
-
-    dfs(0)
+    walk: list[tuple[Partition, Cell | None]] = []  # (shape, mark) per depth
+    pending = [iter(((mu, None),))]  # pending[d] yields the choices for walk[d]
+    while pending:
+        depth = len(pending) - 1
+        del walk[depth:]
+        step = next(pending[-1], None)
+        if step is None:
+            pending.pop()
+        elif step[0] not in reach[k - depth]:
+            continue
+        elif depth < k:
+            walk.append(step)
+            pending.append(iter(_steps(step[0])))
+        elif limit is not None and len(found) >= limit:
+            raise EnumerationLimitError(f"more than {limit} walks from {mu} to {lam}")
+        else:
+            shapes, marks = zip(*walk, step)
+            found.append(KroneckerTableau(shapes, marks[1:]))
     return found
 
 

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 
 @cache
@@ -297,6 +297,20 @@ def p2_recursive(n, m):
     if m == 0:
         return 1 if n == 0 else 0
     return m * p2_recursive(n - 1, m) + (n - 1) * p2_recursive(n - 2, m - 1)
+
+
+def singleton_free_partitions(k):
+    """Set partitions of a k-set with no singleton block, by inclusion and
+    exclusion over the singletons: sum_j (-1)^(k-j) C(k, j) B_j, with the
+    Bell numbers B_j read off the Bell triangle."""
+    row, bells = [1], [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        bells.append(row[0])
+    return sum((-1) ** (k - j) * comb(k, j) * bells[j] for j in range(k + 1))
 
 
 def exp_series(f):

@@ -224,3 +224,8 @@ def test_character_value_on_random_pairs(seed):
         assert value == mn_character(lam, gamma), (lam, gamma)
         if n <= 8:
             assert value == frobenius_character(lam, gamma), (lam, gamma)
+
+
+def test_character_value_of_a_long_cycle_type():
+    # one strip per part of mu, swept without recursion
+    assert character_value((2000,), (1,) * 2000) == 1

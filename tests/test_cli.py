@@ -11,6 +11,7 @@ import pytest
 from kronlab.cli import ROUTES, main
 from kronlab.symfunc import SchurSum
 
+from oracles import singleton_free_partitions
 from test_golden import CASES, GOLDEN
 
 S4_ASCII_ROW = "[2,1,1]      1      0     -1       -1          3"
@@ -181,10 +182,34 @@ def test_formula_empty_shape(capsys):
     assert run(capsys, "tableaux", "count", "[]", "[]", "0") == (0, "1\n", "")
 
 
-def test_deep_recursion_is_a_resource_limit(capsys):
-    code, out, err = run(capsys, "formula", "2500", "2000", "[2500]")
+def test_deep_recursion_is_a_resource_limit(capsys, monkeypatch):
+    monkeypatch.setitem(ROUTES["operator"], "kron", raise_(RecursionError()))
+    code, out, err = run(capsys, "kron", "[2,1]", "[2,1]")
     assert (code, out) == (3, "")
-    assert err.startswith("error: resource limit") and err.count("\n") == 1
+    assert err == "error: resource limit (recursion depth); use smaller inputs\n"
+
+
+def test_formula_answers_at_scale(capsys):
+    # on the one-row shape the formula counts the singleton-free set
+    # partitions of the k letters
+    code, out, err = run(capsys, "formula", "1200", "1000", "[1200]")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["multiplicity"] == str(singleton_free_partitions(1000))
+    code, out, err = run(capsys, "formula", "2500", "2000", "[2500]")
+    assert (code, err) == (0, "")
+    value = json.loads(out)["multiplicity"]
+    # 4347 digits, leading ones as sum_j (-1)^(k-j) C(k, j) B_j gives them
+    assert len(value) == 4347 and value.startswith("36142483732778171640")
+
+
+@pytest.mark.parametrize("action", ["count", "list"])
+def test_tableaux_k_cap_exit_3(capsys, action):
+    code, out, err = run(capsys, "tableaux", action, "[3]", "[2,1]", "99999999")
+    assert (code, out) == (3, "")
+    assert err == "error: resource limit (k <= 1000); raise --max-k to proceed\n"
+    code, out, _ = run(capsys, "tableaux", action, "[3]", "[2,1]", "3", "--max-k", "2")
+    assert (code, out) == (3, "")
+    assert run(capsys, "tableaux", "count", "[3]", "[2,1]", "3", "--max-k", "3")[0] == 0
 
 
 def test_egf_check(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from kronlab.enumeration import (
     TruncatedEGF,
+    _p2_rows,
     egf_check,
     egf_rhs,
     multiplicity_formula,
@@ -44,6 +45,14 @@ def test_p2_against_recursive_oracle():
     for n in range(40):
         for m in range(20):
             assert p2(n, m) == p2_recursive(n, m), (n, m)
+
+
+def test_p2_rows_against_recursive_oracle():
+    for k in range(40):
+        rows = list(_p2_rows(k))
+        assert len(rows) == k // 2 + 1
+        for m, row in enumerate(rows):
+            assert row == [p2_recursive(n, m) for n in range(k + 1)], (k, m)
 
 
 @pytest.mark.parametrize("n", range(0, 13))
