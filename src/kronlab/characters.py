@@ -64,16 +64,13 @@ def _strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
     return tuple(out)
 
 
-def _add_strips(
-    states: dict[Partition, int], r: int, inside: Partition | None = None
-) -> dict[Partition, int]:
+def _add_strips(states: dict[Partition, int], r: int) -> dict[Partition, int]:
     """The Schur expansion times p_r: every strip of size r added to every
-    shape, keeping only the shapes inside ``inside`` when it is given."""
+    shape."""
     out: dict[Partition, int] = {}
     for shape, coeff in states.items():
         for lam, sign in _strips(shape, r):
-            if inside is None or contains(inside, lam):
-                out[lam] = out.get(lam, 0) + sign * coeff
+            out[lam] = out.get(lam, 0) + sign * coeff
     return {lam: v for lam, v in out.items() if v}
 
 
@@ -117,11 +114,15 @@ def _checked(*parts) -> tuple[int, list[Partition]]:
 
 
 def character_value(lam: Partition, mu: Partition) -> int:
-    """Character of the irreducible indexed by lam at the class of type mu."""
+    """Character of the irreducible indexed by lam at the class of type mu.
+
+    The strips of mu's parts are added one part at a time; a shape outside
+    lam never grows back inside it, so only the shapes inside lam are kept
+    and no whole column is expanded."""
     _, (lam, mu) = _checked(lam, mu)
     states = {(): 1}
     for r in mu:
-        states = _add_strips(states, r, lam)
+        states = {s: v for s, v in _add_strips(states, r).items() if contains(lam, s)}
     return states.get(lam, 0)
 
 
