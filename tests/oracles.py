@@ -12,6 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, permutations
 from math import comb, factorial
 
 
@@ -328,8 +329,6 @@ def exp_series(f):
 def decreasing_cycle_permutations(k):
     """All permutations of 1..k whose nontrivial cycles are decreasing,
     given as tuples of cycles (greatest first, sorted by greatest)."""
-    from itertools import permutations
-
     out = []
     for images in permutations(range(1, k + 1)):
         mapping = {i + 1: images[i] for i in range(k)}
@@ -353,3 +352,49 @@ def decreasing_cycle_permutations(k):
         if ok:
             out.append(tuple(sorted(cycles)))
     return out
+
+
+def partial_standard_tableaux(k):
+    """Every partial standard tableau labelled in 1..k, as rows (bottom row
+    first): each subset of the labels written in increasing order, each
+    label into any cell that can be added to the shape so far."""
+    out = []
+
+    def grow(rows, labels):
+        if not labels:
+            out.append(rows)
+            return
+        for i in addable_rows([len(r) for r in rows]):
+            bigger = list(rows) + [()] if i == len(rows) else list(rows)
+            bigger[i] += (labels[0],)
+            grow(tuple(bigger), labels[1:])
+
+    for size in range(k + 1):
+        for labels in combinations(range(1, k + 1), size):
+            grow((), labels)
+    return out
+
+
+@cache
+def _block_words(lam):
+    """Every word naming, for each of sum(lam) elements, the block it lies
+    in, block b holding lam[b] elements."""
+    word = [b for b, part in enumerate(lam) for _ in range(part)]
+    return tuple(set(permutations(word)))
+
+
+def fixed_set_compositions(lam, gamma):
+    """The permutation character of the Young subgroup of type lam at class
+    gamma, as the number of set compositions of type lam (blocks of sizes
+    lam[0], lam[1], ... in order) that one permutation of cycle type gamma
+    maps to themselves."""
+    lam, gamma = tuple(lam), tuple(gamma)
+    if sum(lam) != sum(gamma):
+        return 0
+    sigma, start = [], 0
+    for c in gamma:
+        sigma += [start + (i + 1) % c for i in range(c)]
+        start += c
+    return sum(
+        all(w[x] == w[sigma[x]] for x in range(len(sigma))) for w in _block_words(lam)
+    )

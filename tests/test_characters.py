@@ -5,6 +5,7 @@ import pytest
 
 from kronlab.characters import (
     _inner,
+    _strips,
     character_table,
     character_value,
     h_kron_oracle,
@@ -16,7 +17,7 @@ from kronlab.characters import (
 from kronlab.partitions import class_size, partitions_of, standard_tableaux_count
 from kronlab.symfunc import SchurSum, h_inner_s
 
-from oracles import frobenius_character, mn_character
+from oracles import fixed_set_compositions, frobenius_character, mn_character
 
 S4_TABLE = (
     (1, 1, 1, 1, 1),
@@ -172,6 +173,20 @@ def test_permutation_character_all_ones_shape():
             assert permutation_character((1,) * n, gamma) == want
 
 
+@pytest.mark.parametrize("n", range(0, 8))
+def test_permutation_character_matches_fixed_set_compositions(n):
+    for lam in partitions_of(n):
+        for gamma in partitions_of(n):
+            want = fixed_set_compositions(lam, gamma)
+            assert permutation_character(lam, gamma) == want, (lam, gamma)
+    assert permutation_character((n + 1,), (1,) * n) == 0
+
+
+def test_permutation_character_of_a_long_identity_class():
+    # one cycle at a time, without recursion
+    assert permutation_character((1,) * 1500, (1,) * 1500) == factorial(1500)
+
+
 def test_h_kron_oracle_trivial():
     for n in range(1, 6):
         for mu in partitions_of(n):
@@ -229,3 +244,10 @@ def test_character_value_on_random_pairs(seed):
 def test_character_value_of_a_long_cycle_type():
     # one strip per part of mu, swept without recursion
     assert character_value((2000,), (1,) * 2000) == 1
+
+
+def test_character_value_leaves_the_strip_memo_alone():
+    # a single value meets each (shape, r) once, so it keeps no strips
+    before = _strips.cache_info().currsize
+    assert character_value((12, 9, 6, 3), (3,) * 10) == mn_character((12, 9, 6, 3), (3,) * 10)
+    assert _strips.cache_info().currsize == before

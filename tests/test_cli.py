@@ -351,9 +351,23 @@ def test_unexpected_exception_is_an_internal_error_exit_2(capsys, monkeypatch):
     assert err == "error: internal error (KeyError): 'lost'\n"
 
 
-def test_closed_stdout_pipe_exit_2_without_traceback(tmp_path):
+def source_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_tableaux_count_at_a_large_weight_answers_at_once():
+    # only the shapes the walks reach are visited, not every partition of 60
+    argv = ["tableaux", "count", "[60]", "[59,1]", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kronlab.cli", *argv],
+        capture_output=True, text=True, env=source_env(), timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+def test_closed_stdout_pipe_exit_2_without_traceback(tmp_path):
+    env = source_env()
     # about 350 kB of walks, far more than a pipe buffers, so writing
     # goes on after the reader has closed its end
     argv = ["tableaux", "list", "[6]", "[4,2]", "8"]

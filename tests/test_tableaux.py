@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from kronlab.characters import kron_power_oracle
+from kronlab.enumeration import multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import corners, partitions_of, weight
 from kronlab.symfunc import SchurSum
@@ -31,6 +32,7 @@ from kronlab.tableaux import (
 
 from oracles import (
     decreasing_cycle_permutations,
+    partial_standard_tableaux,
     standard_fillings_count,
     walk_count_recursive,
     walks_by_final_shape,
@@ -88,6 +90,12 @@ def test_count_matches_listing_and_recursion(n):
             cnt = count_kronecker_tableaux((n,), lam, k)
             assert cnt == len(list_kronecker_tableaux((n,), lam, k))
             assert cnt == walk_count_recursive((n,), lam, k)
+
+
+def test_count_at_a_large_weight_matches_the_formula():
+    # the walks reach only shapes with at most k cells below the first row
+    want = multiplicity_formula(200, 6, (198, 1, 1))
+    assert count_kronecker_tableaux((200,), (198, 1, 1), 6) == want == 256
 
 
 def test_counts_from_general_initial_shape():
@@ -284,6 +292,30 @@ def test_pair_cardinality_matches_independent_enumeration(k):
                 len(list(combinations(free, ell - len(fixed)))) * fillings
             )
         assert pairs == count_kronecker_tableaux((n,), lam, k), (lam, k)
+
+
+@pytest.mark.parametrize("k", range(0, 5))
+def test_from_pair_inverts_to_pair_or_rejects(k):
+    # every partial tableau labelled in 1..k against every decreasing-cycle pi
+    perms = [DecCyclePermutation(c) for c in decreasing_cycle_permutations(k)]
+    tableaux = [PartialStandardTableau(rows) for rows in partial_standard_tableaux(k)]
+    for n in (k + 2, k + 4):
+        for regime in (True, False):
+            accepted = 0
+            for T in tableaux:
+                for pi in perms:
+                    try:
+                        K = from_pair(T, pi, n, k, require_regime=regime)
+                    except ValueError:
+                        continue
+                    assert to_pair(K, n, k, require_regime=regime) == (T, pi)
+                    accepted += 1
+            if regime:  # one pair per walk in the regime
+                assert accepted == sum(
+                    count_kronecker_tableaux((n,), lam, k)
+                    for lam in partitions_of(n)
+                    if bijection_regime_ok(n, k, lam)
+                )
 
 
 def test_from_pair_rejects_invariant_violations():
