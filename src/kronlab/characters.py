@@ -26,6 +26,7 @@ product per irreducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
@@ -64,12 +65,14 @@ def _strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
     return tuple(out)
 
 
-def _add_strips(states: dict[Partition, int], r: int) -> dict[Partition, int]:
+def _add_strips(
+    states: dict[Partition, int], r: int, strips=_strips
+) -> dict[Partition, int]:
     """The Schur expansion times p_r: every strip of size r added to every
-    shape."""
+    shape, by the strip rule ``strips``."""
     out: dict[Partition, int] = {}
     for shape, coeff in states.items():
-        for lam, sign in _strips(shape, r):
+        for lam, sign in strips(shape, r):
             out[lam] = out.get(lam, 0) + sign * coeff
     return {lam: v for lam, v in out.items() if v}
 
@@ -118,11 +121,13 @@ def character_value(lam: Partition, mu: Partition) -> int:
 
     The strips of mu's parts are added one part at a time; a shape outside
     lam never grows back inside it, so only the shapes inside lam are kept
-    and no whole column is expanded."""
+    and no whole column is expanded.  Each (shape, r) comes up once, so the
+    sweep reads the strip rule unmemoised and leaves no strips behind."""
     _, (lam, mu) = _checked(lam, mu)
     states = {(): 1}
     for r in mu:
-        states = {s: v for s, v in _add_strips(states, r).items() if contains(lam, s)}
+        states = _add_strips(states, r, _strips.__wrapped__)
+        states = {s: v for s, v in states.items() if contains(lam, s)}
     return states.get(lam, 0)
 
 
@@ -232,43 +237,29 @@ def permutation_character(lam: Partition, gamma: Partition) -> int:
     Young subgroup of type lam: the number of ways to distribute the
     cycles of a type-gamma permutation over the parts of lam so that each
     part is filled exactly.
+
+    The cycles are placed one at a time into the room left in the parts.
+    A state is the sorted tuple of the rooms not yet full, weighted by the
+    number of placements reaching it; a cycle of length c goes into any
+    part with room r >= c, and the parts sharing a room lead to one state.
     """
     if weight(lam) != weight(gamma):
         return 0
-    mults = {}
+    states = {tuple(sorted(lam)): 1}
     for c in gamma:
-        mults[c] = mults.get(c, 0) + 1
-    lengths = sorted(mults)
-    counts = tuple(mults[c] for c in lengths)
-
-    @cache
-    def distribute(part_idx: int, remaining: tuple[int, ...]) -> int:
-        if part_idx == len(lam):
-            return 1 if all(r == 0 for r in remaining) else 0
-        target = lam[part_idx]
-        total = 0
-
-        def pick(i: int, left: int, ways: int, rem: list[int]) -> None:
-            nonlocal total
-            if left == 0:
-                total += ways * distribute(part_idx + 1, tuple(rem))
-                return
-            if i == len(lengths) or left < 0:
-                return
-            c = lengths[i]
-            take_max = min(rem[i], left // c)
-            binom = 1
-            for take in range(take_max + 1):
-                if take:
-                    binom = binom * (rem[i] - take + 1) // take
-                rem[i] -= take
-                pick(i + 1, left - c * take, ways * binom, rem)
-                rem[i] += take
-
-        pick(0, target, 1, list(remaining))
-        return total
-
-    return distribute(0, counts)
+        nxt: dict[tuple[int, ...], int] = {}
+        for rooms, ways in states.items():
+            i = bisect_left(rooms, c)
+            while i < len(rooms):
+                r, end = rooms[i], bisect_right(rooms, rooms[i])
+                rest = rooms[:i] + rooms[i + 1 :]
+                if r > c:
+                    j = bisect_left(rest, r - c)
+                    rest = rest[:j] + (r - c,) + rest[j:]
+                nxt[rest] = nxt.get(rest, 0) + ways * (end - i)
+                i = end
+        states = nxt
+    return states.get((), 0)
 
 
 def h_kron_oracle(lam: Partition, mu: Partition) -> SchurSum:

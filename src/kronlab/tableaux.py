@@ -10,8 +10,10 @@ the operator and character routes.
 
 Walk counts from a shape mu are memoised in ``_endpoints`` per ``(mu, k)``,
 one vector over all final shapes, and carried forward from the longest
-walks from mu already counted.  The stored vectors are shared, so callers
-only read them.
+walks from mu already counted.  Each transfer-matrix step reads the cached
+step table of the shapes in hand, so a count touches only the shapes its
+walks reach, never every partition of n.  The stored vectors are shared,
+so callers only read them.
 
 When the first row stays long enough (n >= k + second part of the final
 shape) the walks biject with shorter walks started at the empty shape,
@@ -30,7 +32,6 @@ from .partitions import (
     canonical_sort,
     check_partition,
     corners,
-    partitions_of,
     remove_corner,
     add_corner_positions,
     weight,
@@ -157,29 +158,18 @@ def successors(p: Partition) -> list[tuple[Partition, Cell | None]]:
     return list(_steps(check_partition(p)))
 
 
-@cache
-def _transition_map(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
-    table = {}
-    for p in partitions_of(n):
-        mults: dict[Partition, int] = {}
-        for q, _mark in _steps(p):
-            mults[q] = mults.get(q, 0) + 1
-        table[p] = tuple(sorted(mults.items(), reverse=True))
-    return table
-
-
 # (mu, k) -> {final shape: number of length-k walks from mu}; only read
 _endpoints: dict[tuple[Partition, int], dict[Partition, int]] = {}
 
 
 def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
     """Number of length-k walks from mu to every shape they reach, by
-    transfer-matrix steps from the longest walks from mu already counted.
-    The returned dict is shared, so callers only read it."""
+    transfer-matrix steps over ``_steps`` from the longest walks from mu
+    already counted.  The returned dict is shared, so callers only read
+    it."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    table = _transition_map(weight(mu))
-    if k and not table[mu]:
+    if k and not _steps(mu):
         return {}  # n <= 1: no walk has a step; from n = 2 on none dies
     for done in range(k, 0, -1):
         if (vec := _endpoints.get((mu, done))) is not None:
@@ -189,8 +179,8 @@ def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
     for _ in range(k - done):
         nxt: dict[Partition, int] = {}
         for p, c in vec.items():
-            for q, m in table[p]:
-                nxt[q] = nxt.get(q, 0) + c * m
+            for q, _mark in _steps(p):
+                nxt[q] = nxt.get(q, 0) + c
         vec = nxt
     _endpoints[mu, k] = vec
     return vec
@@ -484,6 +474,14 @@ class DecCyclePermutation:
 # the walk <-> pair correspondence
 
 
+def _swap(pi: list[int], inv: list[int], i: int, j: int) -> None:
+    """Exchange the values i and j of the permutation pi, whose inverse is
+    inv: compose pi with the transposition (i, j) on the left."""
+    xi, xj = inv[i], inv[j]
+    pi[xi], pi[xj] = j, i
+    inv[i], inv[j] = xj, xi
+
+
 def to_pair(
     K: KroneckerTableau, n: int, k: int, require_regime: bool = True
 ) -> tuple[PartialStandardTableau, DecCyclePermutation]:
@@ -497,20 +495,12 @@ def to_pair(
     T = PartialStandardTableau.empty()
     pi = list(range(k + 1))
     inv = list(range(k + 1))
-
-    def transpose(i: int, j: int) -> None:
-        if i <= j:
-            raise AssertionError(f"transposition ({i},{j}) must have i > j")
-        xi, xj = inv[i], inv[j]
-        pi[xi], pi[xj] = j, i
-        inv[i], inv[j] = xj, xi
-
     steps = zip(walk.shapes, walk.shapes[1:], walk.marks)
     for i, step in enumerate(steps, 1):
         vacated, filled = _step_cells(*step)
         if vacated is not None:
-            T, j = rsk_delete(T, vacated)
-            transpose(i, j)
+            T, j = rsk_delete(T, vacated)  # every label of T is below i
+            _swap(pi, inv, i, j)
         if filled is not None:
             T = _place_label(T, filled, i)
     return T, DecCyclePermutation.from_mapping(pi)
@@ -525,11 +515,12 @@ def from_pair(
 ) -> KroneckerTableau:
     """Rebuild the walk from a pair (T, pi); exact inverse of to_pair.
 
-    Processing steps downward, a step whose index labels a corner of the
-    current tableau is undone by deleting that corner, and when the
-    permutation pairs the index with an earlier ejected label the label
-    is RSK-inserted back (re-creating the corner it once left); an index
-    absent from the tableau was a pure shrink, undone by insertion alone.
+    to_pair run backwards: for i from k down to 1, every label of T is at
+    most i, so a label i is the largest and sits on a corner, the cell
+    step i filled; erase it.  If pi(i) = j < i, step i vacated a corner
+    and ejected j: undo the transposition (i, j) and RSK-insert j, which
+    re-creates that corner.  The step was a stay, marked at the erased
+    cell, exactly when the shape comes back.
     """
     support = frozenset(range(1, k + 1))
     if pi.support != support:
@@ -545,51 +536,23 @@ def from_pair(
     inv = [0] * (k + 1)
     for x in range(1, k + 1):
         inv[mapping[x]] = x
-
-    def untranspose(i: int, j: int) -> None:
-        xi, xj = inv[i], inv[j]
-        mapping[xi], mapping[xj] = j, i
-        inv[i], inv[j] = xj, xi
-
     shapes: list[Partition] = [T.shape]
     marks: list[Cell | None] = []
-    cur = T
     for i in range(k, 0, -1):
-        if i in cur.labels:
-            cell = cur.find(i)
-            if cell not in corners(cur.shape).corners:
-                raise BijectionError(f"label {i} does not sit on a corner")
-            rows = [list(r) for r in cur.rows]
-            rows[cell[0] - 1].pop()
-            if not rows[cell[0] - 1]:
-                rows.pop()
-            trimmed = PartialStandardTableau(tuple(tuple(r) for r in rows))
-            j = mapping[i]
-            if j < i:
-                untranspose(i, j)
-                nxt = rsk_insert(trimmed, j)
-                if nxt.shape == cur.shape:
-                    marks.append(cell)  # corner deleted and re-created: a stay
-                else:
-                    marks.append(None)
-            elif j == i:
-                nxt = trimmed
-                marks.append(None)
-            else:
-                raise BijectionError(f"pi({i}) = {j} > {i} is inconsistent")
-        else:
-            j = mapping[i]
-            if j >= i:
-                raise BijectionError(
-                    f"index {i} neither labels a cell nor maps below itself"
-                )
-            untranspose(i, j)
-            nxt = rsk_insert(cur, j)
-            marks.append(None)
-        shapes.append(nxt.shape)
-        cur = nxt
-    if cur.labels or any(mapping[x] != x for x in range(1, k + 1)):
-        raise BijectionError("leftover labels or transpositions; invalid pair")
+        filled = T.find(i) if i in T.labels else None
+        if filled is not None:
+            rows = (tuple(x for x in row if x != i) for row in T.rows)
+            T = PartialStandardTableau(tuple(filter(None, rows)))
+        j = mapping[i]
+        if j < i:
+            _swap(mapping, inv, i, j)
+            T = rsk_insert(T, j)
+        elif filled is None:
+            raise BijectionError(f"index {i} neither labels a cell nor maps below itself")
+        elif j > i:
+            raise BijectionError(f"pi({i}) = {j} > {i} is inconsistent")
+        marks.append(filled if T.shape == shapes[-1] else None)
+        shapes.append(T.shape)
     walk = ReducedWalk(tuple(reversed(shapes)), tuple(reversed(marks)))
     K = unstrip(walk, n)
     if require_regime and not bijection_regime_ok(n, k, K.final):
