@@ -367,14 +367,13 @@ def test_tableaux_count_at_a_large_weight_answers_at_once():
 
 
 def test_closed_stdout_pipe_exit_2_without_traceback(tmp_path):
-    env = source_env()
     # about 350 kB of walks, far more than a pipe buffers, so writing
     # goes on after the reader has closed its end
     argv = ["tableaux", "list", "[6]", "[4,2]", "8"]
     with open(tmp_path / "stderr", "w+") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "kronlab.cli", *argv],
-            stdout=subprocess.PIPE, stderr=err, env=env,
+            stdout=subprocess.PIPE, stderr=err, env=source_env(),
         )
         assert proc.stdout.readline().startswith(b"[6] ")
         proc.stdout.close()
