@@ -34,9 +34,10 @@ from operator import mul
 
 from .partitions import (
     Partition,
-    check_partition,
+    check_same_weight,
     class_size,
     contains,
+    format_partition,
     partitions_of,
     weight,
 )
@@ -107,15 +108,6 @@ def _chi(lam: Partition) -> tuple[int, ...]:
     return _table(weight(lam))[lam]
 
 
-def _checked(*parts) -> tuple[int, list[Partition]]:
-    """The common weight of the given partitions, and the partitions."""
-    parts = [check_partition(p) for p in parts]
-    n = weight(parts[0])
-    if any(weight(p) != n for p in parts):
-        raise ValueError("equal weights required")
-    return n, parts
-
-
 def character_value(lam: Partition, mu: Partition) -> int:
     """Character of the irreducible indexed by lam at the class of type mu.
 
@@ -123,7 +115,7 @@ def character_value(lam: Partition, mu: Partition) -> int:
     lam never grows back inside it, so only the shapes inside lam are kept
     and no whole column is expanded.  Each (shape, r) comes up once, so the
     sweep reads the strip rule unmemoised and leaves no strips behind."""
-    _, (lam, mu) = _checked(lam, mu)
+    _, (lam, mu) = check_same_weight(lam, mu)
     states = {(): 1}
     for r in mu:
         states = _add_strips(states, r, _strips.__wrapped__)
@@ -180,7 +172,7 @@ class CharacterTable:
         return self.values[i][j]
 
     def ascii_render(self) -> str:
-        labels = ["[" + ",".join(map(str, p)) + "]" for p in self.partitions]
+        labels = [format_partition(p) for p in self.partitions]
         cells = [[str(v) for v in row] for row in self.values]
         widths = [
             max(len(labels[j]), max(len(cells[i][j]) for i in range(len(cells))))
@@ -212,13 +204,13 @@ def character_table(n: int) -> CharacterTable:
 
 def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:
     """Multiplicity of the alpha-irreducible in the lam (x) mu product."""
-    n, (lam, mu, alpha) = _checked(lam, mu, alpha)
+    n, (lam, mu, alpha) = check_same_weight(lam, mu, alpha)
     return _inner(n, _chi(lam), _chi(mu), _chi(alpha))
 
 
 def kron_product_via_characters(lam: Partition, mu: Partition) -> SchurSum:
     """Schur expansion of the product character, via pointwise values."""
-    n, (lam, mu) = _checked(lam, mu)
+    n, (lam, mu) = check_same_weight(lam, mu)
     return _project_onto_schur(n, _chi(lam), _chi(mu))
 
 
@@ -268,6 +260,6 @@ def h_kron_oracle(lam: Partition, mu: Partition) -> SchurSum:
     Uses the permutation character in place of an irreducible one in the
     orthonormality projection; independent of the Schur-operator route.
     """
-    n, (lam, mu) = _checked(lam, mu)
+    n, (lam, mu) = check_same_weight(lam, mu)
     perm = tuple(permutation_character(lam, gamma) for gamma in partitions_of(n))
     return _project_onto_schur(n, perm, _chi(mu))

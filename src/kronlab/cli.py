@@ -33,11 +33,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps({"schema": SCHEMA, **payload}))
 
 
-def _default_format() -> str:
-    fmt = os.environ.get("KRONLAB_FORMAT", "json")
-    return fmt if fmt in ("json", "ascii") else "json"
-
-
 # route name -> {command: function of the command's inputs -> SchurSum}
 ROUTES = {
     "operator": {
@@ -251,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chartable", help="character table of the symmetric group")
     p.add_argument("n", type=int)
-    p.add_argument(
-        "--format", choices=["json", "ascii"], default=_default_format()
-    )
+    p.add_argument("--format", choices=["json", "ascii"], default="json")
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_CHARTABLE_N)
     p.set_defaults(func=cmd_chartable)
 

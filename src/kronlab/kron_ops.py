@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
-from .partitions import Partition, check_partition, partitions_of, weight
+from .partitions import (
+    Partition,
+    check_partition,
+    check_same_weight,
+    partitions_of,
+    weight,
+)
 from .symfunc import SchurSum, h_determinant, skew_then_multiply
 
 
@@ -83,9 +89,7 @@ def apply(op: KroneckerOperator, f: SchurSum) -> SchurSum:
 
 def kron_product_via_operator(lam: Partition, mu: Partition) -> SchurSum:
     """Kronecker product expansion of the lam and mu irreducibles."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    if weight(lam) != weight(mu):
-        raise ValueError("equal weights required")
+    _, (lam, mu) = check_same_weight(lam, mu)
     return apply(build_operator(lam[1:]), SchurSum.schur(mu))
 
 

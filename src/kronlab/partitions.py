@@ -40,6 +40,16 @@ def weight(p: Partition) -> int:
     return sum(p)
 
 
+def check_same_weight(*parts) -> tuple[int, list[Partition]]:
+    """The common weight of the given partitions, and the partitions."""
+    parts = [check_partition(p) for p in parts]
+    n = weight(parts[0])
+    for p in parts:
+        if weight(p) != n:
+            raise ValueError("equal weights required")
+    return n, parts
+
+
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic order, (n) first."""

@@ -28,6 +28,7 @@ from .partitions import (
     Partition,
     canonical_sort,
     check_partition,
+    check_same_weight,
     contains,
     partitions_of,
     weight,
@@ -343,9 +344,7 @@ def h_inner_s(lam: Partition, mu: Partition) -> SchurSum:
     Sums, over one partition nu of every part of lam except the largest,
     the skew-then-multiply composite applied to s_mu.
     """
-    lam, mu = check_partition(lam), check_partition(mu)
-    if weight(lam) != weight(mu):
-        raise ValueError("h_inner_s requires equal weights")
+    _, (lam, mu) = check_same_weight(lam, mu)
     nu_tuples = iproduct(*(partitions_of(part) for part in lam[1:]))
     return skew_then_multiply(((1, nus) for nus in nu_tuples), SchurSum.schur(mu))
 

@@ -13,7 +13,8 @@ one vector over all final shapes, and carried forward from the longest
 walks from mu already counted.  Each transfer-matrix step reads the cached
 step table of the shapes in hand, so a count touches only the shapes its
 walks reach, never every partition of n.  The stored vectors are shared,
-so callers only read them.
+so callers only read them.  The listing steps the vectors it prunes by in
+a local list and leaves the memo as it was.
 
 When the first row stays long enough (n >= k + second part of the final
 shape) the walks biject with shorter walks started at the empty shape,
@@ -31,7 +32,10 @@ from .partitions import (
     Partition,
     canonical_sort,
     check_partition,
+    check_same_weight,
     corners,
+    format_partition,
+    parse_partition,
     remove_corner,
     add_corner_positions,
     weight,
@@ -177,13 +181,19 @@ def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
     else:
         done, vec = 0, {mu: 1}
     for _ in range(k - done):
-        nxt: dict[Partition, int] = {}
-        for p, c in vec.items():
-            for q, _mark in _steps(p):
-                nxt[q] = nxt.get(q, 0) + c
-        vec = nxt
+        vec = _step(vec)
     _endpoints[mu, k] = vec
     return vec
+
+
+def _step(vec: dict[Partition, int]) -> dict[Partition, int]:
+    """One transfer-matrix step over ``_steps``: the counts of walks one
+    step longer, per final shape."""
+    nxt: dict[Partition, int] = {}
+    for p, c in vec.items():
+        for q, _mark in _steps(p):
+            nxt[q] = nxt.get(q, 0) + c
+    return nxt
 
 
 def walk_counts(mu: Partition, k: int) -> SchurSum:
@@ -197,9 +207,7 @@ def walk_counts(mu: Partition, k: int) -> SchurSum:
 
 def count_kronecker_tableaux(mu: Partition, lam: Partition, k: int) -> int:
     """Number of length-k walks from mu to lam, by k transfer-matrix steps."""
-    mu, lam = check_partition(mu), check_partition(lam)
-    if weight(mu) != weight(lam):
-        raise ValueError("equal weights required")
+    _, (mu, lam) = check_same_weight(mu, lam)
     return _walk_endpoints(mu, k).get(lam, 0)
 
 
@@ -212,13 +220,14 @@ def list_kronecker_tableaux(
     the steps are symmetric, so those shapes are the ends of the walks from
     lam of that length.  Raises EnumerationLimitError as soon as more than
     ``limit`` walks would be produced."""
-    mu, lam = check_partition(mu), check_partition(lam)
-    if weight(mu) != weight(lam):
-        raise ValueError("equal weights required")
+    _, (mu, lam) = check_same_weight(mu, lam)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # reach[d]: the shapes with a walk of length d to lam
-    reach = [_walk_endpoints(lam, d) for d in range(k + 1)]
+    # reach[d]: the shapes with a walk of length d to lam; stepped here, so
+    # the shared memo is left as it was
+    reach = [{lam: 1}]
+    for _ in range(k):
+        reach.append(_step(reach[-1]))
     found: list[KroneckerTableau] = []
     walk: list[tuple[Partition, Cell | None]] = []  # (shape, mark) per depth
     pending = [iter(((mu, None),))]  # pending[d] yields the choices for walk[d]
@@ -547,10 +556,6 @@ def from_pair(
         if j < i:
             _swap(mapping, inv, i, j)
             T = rsk_insert(T, j)
-        elif filled is None:
-            raise BijectionError(f"index {i} neither labels a cell nor maps below itself")
-        elif j > i:
-            raise BijectionError(f"pi({i}) = {j} > {i} is inconsistent")
         marks.append(filled if T.shape == shapes[-1] else None)
         shapes.append(T.shape)
     walk = ReducedWalk(tuple(reversed(shapes)), tuple(reversed(marks)))
@@ -566,9 +571,9 @@ def from_pair(
 
 def format_walk(K: KroneckerTableau) -> str:
     """Bracketed shapes separated by spaces; stays carry ``*row:col``."""
-    bits = ["[" + ",".join(map(str, K.shapes[0])) + "]"]
+    bits = [format_partition(K.shapes[0])]
     for shape, mark in zip(K.shapes[1:], K.marks):
-        s = "[" + ",".join(map(str, shape)) + "]"
+        s = format_partition(shape)
         if mark is not None:
             s += f"*{mark[0]}:{mark[1]}"
         bits.append(s)
@@ -576,8 +581,6 @@ def format_walk(K: KroneckerTableau) -> str:
 
 
 def parse_walk(line: str) -> KroneckerTableau:
-    from .partitions import parse_partition
-
     shapes: list[Partition] = []
     marks: list[Cell | None] = []
     tokens = line.split()
@@ -593,12 +596,8 @@ def parse_walk(line: str) -> KroneckerTableau:
             mark = (row, col)
         else:
             body, mark = tok, None
-        shape = parse_partition(body)
-        if idx == 0:
-            if mark is not None:
-                raise ValueError("initial shape cannot carry a mark")
-            shapes.append(shape)
-        else:
-            shapes.append(shape)
-            marks.append(mark)
-    return KroneckerTableau(tuple(shapes), tuple(marks))
+        shapes.append(parse_partition(body))
+        if idx == 0 and mark is not None:
+            raise ValueError("initial shape cannot carry a mark")
+        marks.append(mark)
+    return KroneckerTableau(tuple(shapes), tuple(marks[1:]))

@@ -91,13 +91,6 @@ def test_chartable_json(capsys):
     assert payload["values"][1] == ["-1", "0", "-1", "1", "3"]
 
 
-def test_chartable_env_default_format(capsys, monkeypatch):
-    monkeypatch.setenv("KRONLAB_FORMAT", "ascii")
-    code, out, _ = run(capsys, "chartable", "4")
-    assert code == 0
-    assert S4_ASCII_ROW in out.splitlines()
-
-
 def test_chartable_resource_limit_exit_3(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "chartable", "40")
@@ -161,6 +154,13 @@ def test_bijection_bad_walk_exit_2(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[5] [5]\n"))
     code, _, err = run(capsys, "bijection")
     assert code == 2
+
+
+def test_bijection_multi_row_initial_shape_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[3,1] [2,2]\n"))
+    code, out, err = run(capsys, "bijection")
+    assert (code, out) == (2, "")
+    assert err == "error: bijection requires a one-row initial shape\n"
 
 
 def test_formula_command(capsys):

@@ -155,7 +155,6 @@ def dump():
     import os
     import tempfile
 
-    os.environ.pop("KRONLAB_FORMAT", None)
     with tempfile.TemporaryDirectory() as tmp:
         walkfile = os.path.join(tmp, "walks.txt")
         with open(walkfile, "w", encoding="utf-8") as fh:
@@ -170,8 +169,7 @@ def test_every_case_has_a_golden_value():
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_golden_output(case, tmp_path, monkeypatch):
-    monkeypatch.delenv("KRONLAB_FORMAT", raising=False)
+def test_golden_output(case, tmp_path):
     walkfile = tmp_path / "walks.txt"
     walkfile.write_text(WALKS, encoding="utf-8")
     argv, stdin = CASES[case]

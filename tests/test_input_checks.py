@@ -1,0 +1,168 @@
+"""Every library input check raises its own exception type and message."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from kronlab.characters import kron_power_oracle
+from kronlab.enumeration import TruncatedEGF, multiplicity_formula
+from kronlab.kron_ops import kron_power_nm1
+from kronlab.partitions import parse_partition, partitions_of
+from kronlab.symfunc import SchurSum
+from kronlab.tableaux import (
+    BijectionError,
+    DecCyclePermutation,
+    KroneckerTableau,
+    PartialStandardTableau,
+    ReducedWalk,
+    _place_label,
+    count_kronecker_tableaux,
+    from_pair,
+    list_kronecker_tableaux,
+    parse_walk,
+    strip_first_row,
+)
+
+# A marked first row is never a legal stay (a row-1 corner is always the
+# first corner), so only a walk that skipped validation carries one.
+UNCHECKED_WALK = SimpleNamespace(
+    shapes=((3,), (3,)), marks=((1, 3),), length=1, final=(3,)
+)
+
+CASES = {
+    "partitions-of-negative": (lambda: partitions_of(-1), ValueError, "nonnegative"),
+    "parse-non-integer": (
+        lambda: parse_partition("[1,a]"),
+        ValueError,
+        "must contain integers",
+    ),
+    "schur-sum-add-degrees": (
+        lambda: SchurSum.schur((2,)) + SchurSum.schur((1,)),
+        ValueError,
+        "different degrees",
+    ),
+    "schur-sum-immutable": (
+        lambda: setattr(SchurSum.schur((1,)), "degree", 2),
+        AttributeError,
+        "immutable",
+    ),
+    "power-nm1-small-n": (lambda: kron_power_nm1(1, 0), ValueError, "at least 2"),
+    "power-nm1-negative-k": (
+        lambda: kron_power_nm1(3, -1),
+        ValueError,
+        "nonnegative",
+    ),
+    "power-oracle-small-n": (
+        lambda: kron_power_oracle(1, 0),
+        ValueError,
+        "at least 2",
+    ),
+    "power-oracle-negative-k": (
+        lambda: kron_power_oracle(3, -1),
+        ValueError,
+        "nonnegative",
+    ),
+    "formula-negative-k": (
+        lambda: multiplicity_formula(4, -1, (4,)),
+        ValueError,
+        "nonnegative",
+    ),
+    "egf-no-coefficients": (lambda: TruncatedEGF([]), ValueError, "constant"),
+    "tableau-mark-slots": (
+        lambda: KroneckerTableau(((3,), (2, 1)), ()),
+        ValueError,
+        "one mark slot per step",
+    ),
+    "reduced-walk-mark-slots": (
+        lambda: ReducedWalk(((), (1,)), ()),
+        ValueError,
+        "one mark slot per step",
+    ),
+    "reduced-walk-start": (
+        lambda: ReducedWalk(((1,), ()), (None,)),
+        ValueError,
+        "start at the empty shape",
+    ),
+    "count-weights": (
+        lambda: count_kronecker_tableaux((3,), (2,), 1),
+        ValueError,
+        "equal weights required",
+    ),
+    "list-weights": (
+        lambda: list_kronecker_tableaux((3,), (2,), 1),
+        ValueError,
+        "equal weights required",
+    ),
+    "list-negative-k": (
+        lambda: list_kronecker_tableaux((3,), (2, 1), -1),
+        ValueError,
+        "nonnegative",
+    ),
+    "strip-length": (
+        lambda: strip_first_row(KroneckerTableau(((3,), (2, 1)), (None,)), 3, 2),
+        ValueError,
+        "has length 1, expected 2",
+    ),
+    "strip-first-row-mark": (
+        lambda: strip_first_row(UNCHECKED_WALK, 3, 1),
+        BijectionError,
+        "sits on the first row",
+    ),
+    "tableau-empty-row": (
+        lambda: PartialStandardTableau(((),)),
+        ValueError,
+        "empty row",
+    ),
+    "tableau-bad-label": (
+        lambda: PartialStandardTableau(((0,),)),
+        ValueError,
+        "bad label 0",
+    ),
+    "tableau-find-absent": (
+        lambda: PartialStandardTableau(((1,),)).find(5),
+        KeyError,
+        "5",
+    ),
+    "place-label-not-addable": (
+        lambda: _place_label(PartialStandardTableau.empty(), (2, 1), 1),
+        ValueError,
+        "not an addable position",
+    ),
+    "cycle-empty": (lambda: DecCyclePermutation(((),)), ValueError, "empty cycle"),
+    "cycles-overlap": (
+        lambda: DecCyclePermutation(((2, 1), (3, 1))),
+        ValueError,
+        "disjoint",
+    ),
+    "to-mapping-support": (
+        lambda: DecCyclePermutation(((2, 1),)).to_mapping(3),
+        ValueError,
+        "not a permutation of 1..3",
+    ),
+    "from-pair-labels": (
+        lambda: from_pair(
+            PartialStandardTableau(((3,),)), DecCyclePermutation(((1,), (2,))), 6, 2
+        ),
+        BijectionError,
+        "labels must lie in 1..k",
+    ),
+    "parse-walk-empty": (lambda: parse_walk("  "), ValueError, "empty walk line"),
+    "parse-walk-mark-suffix": (
+        lambda: parse_walk("[3] [2,1]*x"),
+        ValueError,
+        "bad mark suffix",
+    ),
+    "parse-walk-marked-initial": (
+        lambda: parse_walk("[3]*1:3 [2,1]"),
+        ValueError,
+        "initial shape cannot carry a mark",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_input_check(case):
+    call, error, fragment = CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -122,6 +122,25 @@ def test_normalize_merges_duplicate_terms():
     assert apply(op, f) == apply(norm, f)
 
 
+def test_readme_library_example():
+    from kronlab import (
+        count_kronecker_tableaux,
+        kron_coefficient,
+        kron_power_nm1,
+        kron_product_via_operator,
+        multiplicity_formula,
+    )
+
+    assert (
+        repr(kron_product_via_operator((3, 1), (3, 1)))
+        == "s[4] + s[3, 1] + s[2, 2] + s[2, 1, 1]"
+    )
+    assert kron_coefficient((4, 2), (4, 2), (3, 3)) == 0
+    walks = count_kronecker_tableaux((6,), (4, 2), 3)
+    assert kron_power_nm1(6, 3).coefficient((4, 2)) == walks == 3
+    assert multiplicity_formula(12, 5, (9, 2, 1)) == 70
+
+
 def test_weight_mismatch_rejected():
     with pytest.raises(ValueError):
         kron_product_via_operator((3, 1), (3,))

@@ -85,6 +85,15 @@ def test_threaded_memo_fill_matches_serial():
     assert threaded == serial
 
 
+def test_listing_leaves_the_walk_memo_as_it_was():
+    clear_memos()
+    count_kronecker_tableaux((6,), (4, 2), 3)
+    before = dict(tableaux._endpoints)
+    listed = tableaux.list_kronecker_tableaux((6,), (4, 2), 7)
+    assert tableaux._endpoints == before
+    assert len(listed) == count_kronecker_tableaux((6,), (4, 2), 7)
+
+
 def test_verify_applies_the_operator_once_per_power(monkeypatch, capsys):
     applied = []
 

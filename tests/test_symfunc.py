@@ -251,6 +251,18 @@ def test_schur_sum_rejects_mixed_degrees():
         SchurSum(3, {(2, 1): 1, (2,): 1})
 
 
+def test_schur_sum_arithmetic():
+    f = SchurSum(3, {(3,): 2, (2, 1): -1})
+    g = SchurSum.schur((1, 1))
+    assert repr(f) == "2*s[3] - s[2, 1]"
+    assert f - f == SchurSum.zero(3) and repr(f - f) == "0"
+    assert -f == f.scale(-1) == SchurSum(3, {(3,): -2, (2, 1): 1})
+    assert f * g == multiply(f, g)
+    assert (f * g).degree == 5
+    same = SchurSum(3, {(2, 1): -1, (3,): 2})
+    assert same == f and hash(same) == hash(f)
+
+
 def test_concurrent_lr_calls_match_serial():
     from concurrent.futures import ThreadPoolExecutor
 
