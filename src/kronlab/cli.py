@@ -97,6 +97,8 @@ def cmd_kron(args) -> int:
     mu = parse_partition(args.mu)
     if weight(lam) != weight(mu):
         raise ValueError(f"weight mismatch {lam} vs {mu}")
+    if weight(lam) > args.max_n:
+        raise _limit(n=args.max_n)
     return _emit_agreed(_run_routes("kron", args.method, lam, mu))
 
 
@@ -230,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["operator", "character", "both"],
         default="both",
     )
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_CHARTABLE_N)
     p.set_defaults(func=cmd_kron)
 
     p = sub.add_parser("power", help="Kronecker power of the (n-1,1) irreducible")

@@ -8,14 +8,21 @@ products of complete homogeneous functions.
 
 One engine counts LR fillings: a product of two Schur functions is built
 from them directly, adding the content of the smaller factor one label
-at a time as a horizontal strip, and is memoised per pair.
+at a time as a horizontal strip, and is memoised per pair.  The strips
+of one label on one partial filling (``_lattice_strips``) recur across
+product pairs, so they are memoised once for all pairs, as tuples; each
+shape and row-count tuple they store is the one object held for it in
+``_shared``, and those shapes are also the keys of the product memo.
 ``lr_coefficient`` reads its coefficient from that per-pair memo, and a
 skew s_lam/gamma is expanded from those coefficients once per pair
 (lam, gamma) and memoised.  The memoised dicts are shared, so callers
 only read them.  ``skew_then_multiply`` is the one composite behind the
 operator route and ``h_inner_s``: it sums a list of (coefficient,
 nu-tuple) terms, computing the skew by each shared prefix of nu's once
-and multiplying by each s_nu once per shared prefix.
+and multiplying by each s_nu once per shared prefix.  It works on term
+dicts through the two private helpers that ``perp`` and ``multiply`` are
+built on, ``_skew`` and ``_add_products``, and checks the weight of every
+intermediate sum as a ``SchurSum``.
 """
 
 from __future__ import annotations
@@ -168,51 +175,80 @@ def _schur_product_terms(gamma: Partition, alpha: Partition) -> dict[Partition, 
     return out
 
 
+# one shared object per distinct shape or row-count tuple in the strip
+# memo; dict.setdefault on int tuples is atomic, so threads may share it
+_shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+@cache
 def _lattice_strips(
     shape: Partition, last: Partition | None, size: int
-) -> list[tuple[Partition, Partition]]:
+) -> tuple[tuple[Partition, Partition], ...]:
     """Every horizontal strip of ``size`` cells of the next label on
     ``shape`` that keeps the reading word a lattice word, as (new shape,
     per-row count of the new label).  ``last`` is the per-row count of the
     previous label, or None for the first label, which is unconstrained.
+
+    Memoised across product pairs, and every stored shape and row count
+    is the one ``_shared`` object equal to it.
     """
+    if not size:  # a zero part of an unchecked content places nothing
+        return ((shape, ()),)
     rows = len(shape)
     below = shape + (0,)
     freed = (last or ()) + (0,) * (rows + 1 - len(last or ()))
     grown = list(below)
     counts = [0] * (rows + 1)
     out = []
+    share = _shared.setdefault
 
     def place(r: int, left: int, allow: int) -> None:
-        # allow: labels i in rows < r minus labels i+1 placed in rows < r
-        if not left:
-            new = tuple(grown) if grown[rows] else tuple(grown[:rows])
-            out.append((new, tuple(counts[:r])))
-            return
-        room = left if r == 0 else below[r - 1] - below[r]
+        # allow: labels i in rows < r minus labels i+1 placed in rows < r;
         # rows below r hold at most below[r] cells of a horizontal strip
-        for k in range(min(left, room, allow), max(0, left - below[r]) - 1, -1):
+        while not (most := min(left, allow, left if r == 0 else below[r - 1] - below[r])):
+            # row r takes no cell, so the rows below take them all
+            if left > below[r]:
+                return
+            allow += freed[r]
+            r += 1
+        for k in range(most, max(0, left - below[r]) - 1, -1):
             counts[r] = k
             grown[r] = below[r] + k
-            place(r + 1, left - k, allow - k + freed[r])
+            if k < left:
+                place(r + 1, left - k, allow - k + freed[r])
+                continue
+            new = tuple(grown) if grown[rows] else tuple(grown[:rows])
+            placed = tuple(counts[: r + 1])
+            out.append((share(new, new), share(placed, placed)))
         counts[r] = 0
         grown[r] = below[r]
 
     place(0, size, size if last is None else 0)
-    return out
+    return tuple(out)
 
 
 def multiply(f: SchurSum, g: SchurSum) -> SchurSum:
     """Product of two Schur sums; degrees add."""
-    # c^mu_{pq} = c^mu_{qp}: the factor of smaller weight is the content
-    big, small = (f, g) if f.degree >= g.degree else (g, f)
     result: dict[Partition, int] = {}
-    for p, cp in big.terms.items():
-        for q, cq in small.terms.items():
+    _add_products(result, f.terms, f.degree, g.terms, g.degree)
+    return SchurSum(f.degree + g.degree, result)
+
+
+def _add_products(
+    result: dict[Partition, int],
+    f: dict[Partition, int],
+    f_degree: int,
+    g: dict[Partition, int],
+    g_degree: int,
+) -> None:
+    """Add the product of the term dicts f and g into ``result``."""
+    # c^mu_{pq} = c^mu_{qp}: the factor of smaller weight is the content
+    big, small = (f, g) if f_degree >= g_degree else (g, f)
+    for p, cp in big.items():
+        for q, cq in small.items():
             c = cp * cq
             for mu, lr in _schur_product_terms(p, q).items():
                 result[mu] = result.get(mu, 0) + c * lr
-    return SchurSum(f.degree + g.degree, result)
 
 
 @cache
@@ -235,11 +271,16 @@ def perp(gamma: Partition, f: SchurSum) -> SchurSum:
     d = f.degree - weight(gamma)
     if d < 0:
         return SchurSum.zero(0)
+    return SchurSum(d, _skew(gamma, f.terms))
+
+
+def _skew(gamma: Partition, f: dict[Partition, int]) -> dict[Partition, int]:
+    """The term dict f skewed by s_gamma."""
     result: dict[Partition, int] = {}
-    for lam, c in f.terms.items():
+    for lam, c in f.items():
         for alpha, lr in _skew_terms(lam, gamma).items():
             result[alpha] = result.get(alpha, 0) + c * lr
-    return SchurSum(d, result)
+    return result
 
 
 def scalar(f: SchurSum, g: SchurSum) -> int:
@@ -319,7 +360,8 @@ def _shared_prefixes(
 ) -> SchurSum:
     """skew_then_multiply on tuples grouped by their first nu: each
     group's skew by that nu is computed once, a vanishing skew drops the
-    group, and the product by s_nu is applied once to the group's sum."""
+    group, and the product by s_nu is applied once to the group's sum,
+    with s_nu as the first factor, as in ``multiply(SchurSum.schur(nu), .)``."""
     result: dict[Partition, int] = {}
     groups: dict[Partition, list[tuple[int, tuple[Partition, ...]]]] = {}
     for coeff, nus in terms:
@@ -329,12 +371,13 @@ def _shared_prefixes(
         for p, c in g.terms.items():
             result[p] = result.get(p, 0) + coeff * c
     for nu, rest in groups.items():
-        skewed = perp(nu, g)
+        nu = check_partition(nu)
+        size = weight(nu)
+        skewed = SchurSum(g.degree - size, _skew(nu, g.terms))
         if not skewed:
             continue
         below = _shared_prefixes(rest, skewed)
-        for mu, c in multiply(SchurSum.schur(nu), below).terms.items():
-            result[mu] = result.get(mu, 0) + c
+        _add_products(result, {nu: 1}, size, below.terms, below.degree)
     return SchurSum(g.degree, result)
 
 

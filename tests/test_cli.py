@@ -83,6 +83,20 @@ def test_chartable_ascii_table(capsys):
     assert S4_ASCII_ROW in out.splitlines()
 
 
+def test_kron_weight_cap_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kron", "[9,5,3,2,1]", "[8,6,3,2,1]")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: resource limit (n <= 16); raise --max-n to proceed\n"
+    assert run(capsys, "kron", "[17]", "[16,1]", "--method=operator")[0] == 3
+    code, out, _ = run(
+        capsys, "kron", "[17]", "[16,1]", "--method=operator", "--max-n", "17"
+    )
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"partition": [16, 1], "coeff": "1"}]
+
+
 def test_chartable_json(capsys):
     code, out, _ = run(capsys, "chartable", "4")
     assert code == 0

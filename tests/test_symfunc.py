@@ -3,11 +3,13 @@ import random
 import pytest
 
 from kronlab import symfunc
-from kronlab.kron_ops import build_operator
+from kronlab.kron_ops import build_operator, kron_product_via_operator
 from kronlab.partitions import contains, partitions_of, weight
 from kronlab.symfunc import (
     HMonomial,
     SchurSum,
+    _lattice_strips,
+    _schur_product_terms,
     h_inner_s,
     h_to_schur,
     jacobi_trudi,
@@ -21,6 +23,33 @@ from kronlab.symfunc import (
 )
 
 from oracles import lr_fillings, polynomial_product, ssyt_polynomial
+
+
+MEMOS = [
+    obj
+    for obj in vars(symfunc).values()
+    if getattr(obj, "__module__", None) == symfunc.__name__ and hasattr(obj, "cache_clear")
+]
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+    symfunc._shared.clear()
+
+
+@pytest.fixture
+def strip_values(monkeypatch):
+    """Every value ``_lattice_strips`` returns while the test runs."""
+    values = []
+
+    def recording(*key):
+        out = _lattice_strips(*key)
+        values.append(out)
+        return out
+
+    monkeypatch.setattr(symfunc, "_lattice_strips", recording)
+    return values
 
 
 def schur_eval(f, nvars):
@@ -152,6 +181,44 @@ def test_summed_composite_matches_per_tuple_reference():
                 )
 
 
+def test_summed_composite_matches_per_tuple_reference_on_signed_sums():
+    rng = random.Random(20261019)
+    # s3 - s21 + s111 and s2 - s11 skew to zero by (1)
+    cancelling = [
+        SchurSum(3, {(3,): 1, (2, 1): -1, (1, 1, 1): 1}),
+        SchurSum(2, {(2,): 1, (1, 1): -1}),
+    ]
+    for f in cancelling:
+        assert perp((1,), f) == SchurSum.zero(f.degree - 1)
+    for size in range(0, 6):
+        for lambda_bar in partitions_of(size):
+            terms = build_operator(lambda_bar).terms
+            sums = list(cancelling)
+            for _ in range(2):
+                n = rng.randint(2, 9)
+                shapes = rng.sample(partitions_of(n), rng.randint(2, min(4, len(partitions_of(n)))))
+                sums.append(SchurSum(n, {p: rng.choice([-3, -2, -1, 1, 2, 3]) for p in shapes}))
+            for f in sums:
+                assert skew_then_multiply(terms, f) == composite_per_tuple(terms, f), (
+                    lambda_bar,
+                    f,
+                )
+
+
+def test_staircase_work_is_pinned(strip_values):
+    """The operator route on the staircase (5,4,3,2,1) meets each strip
+    key and each product pair once, and the strip memo stores one object
+    per distinct shape and per distinct row count."""
+    clear_memos()
+    kron_product_via_operator((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
+    strips = _lattice_strips.cache_info()
+    assert strips.misses <= 9565 and strips.hits > 0
+    assert _schur_product_terms.cache_info().misses <= 2477
+    for part in (0, 1):
+        stored = [pair[part] for value in strip_values for pair in value]
+        assert len({id(x) for x in stored}) == len(set(stored))
+
+
 def test_perp_examples():
     assert perp((1,), SchurSum.schur((3, 3, 1))) == SchurSum(
         6, {(3, 3): 1, (3, 2, 1): 1}
@@ -280,14 +347,9 @@ def test_concurrent_lr_calls_match_serial():
     assert threaded == serial
 
 
-def test_concurrent_products_and_skews_match_serial():
+def test_concurrent_products_and_skews_match_serial(strip_values):
     import sys
     from concurrent.futures import ThreadPoolExecutor
-
-    def clear_memos():
-        for obj in vars(symfunc).values():
-            if getattr(obj, "__module__", None) == symfunc.__name__ and hasattr(obj, "cache_clear"):
-                obj.cache_clear()
 
     calls = [
         (multiply, SchurSum.schur(p), SchurSum.schur(q))
@@ -297,6 +359,10 @@ def test_concurrent_products_and_skews_match_serial():
         (perp, gamma, SchurSum.schur(lam))
         for lam in partitions_of(7)
         for gamma in partitions_of(3)
+    ] + [
+        (skew_then_multiply, build_operator(lambda_bar).terms, SchurSum.schur(mu))
+        for lambda_bar in partitions_of(2) + partitions_of(3)
+        for mu in partitions_of(6)
     ]
     calls *= 4
     clear_memos()
@@ -307,6 +373,8 @@ def test_concurrent_products_and_skews_match_serial():
             threaded = list(pool.map(lambda c: c[0](*c[1:]), calls, timeout=120))
     finally:
         sys.setswitchinterval(interval)
+    # a strip found by any thread holds the shared shape and row count
+    assert all(symfunc._shared[x] is x for value in strip_values for pair in value for x in pair)
     clear_memos()
     serial = [fn(*args) for fn, *args in calls]
     assert threaded == serial
