@@ -27,6 +27,9 @@ DEFAULT_MAX_K = 10
 DEFAULT_MAX_CHARTABLE_N = 16
 DEFAULT_LIST_LIMIT = 100000
 DEFAULT_MAX_WALK_K = 1000
+DEFAULT_MAX_FORMULA_N = 2500
+DEFAULT_MAX_FORMULA_K = 1000
+DEFAULT_MAX_EGF_ORDER = 100
 
 
 def _emit(payload: dict) -> None:
@@ -171,6 +174,8 @@ def cmd_bijection(args) -> int:
 
 def cmd_formula(args) -> int:
     lam = parse_partition(args.lam)
+    if args.n > args.max_n or args.k > args.max_k:
+        raise _limit(n=args.max_n, k=args.max_k)
     value = enumeration.multiplicity_formula(args.n, args.k, lam)
     _emit(
         {
@@ -187,6 +192,8 @@ def cmd_egf(args) -> int:
     lb = parse_partition(args.lambda_bar)
     if args.order < weight(lb):
         raise ValueError(f"--order must be at least the weight {weight(lb)} of {lb}")
+    if args.order > args.max_order:
+        raise _limit(order=args.max_order)
     if args.check:
         rows = enumeration.egf_check(lb, args.order)
         _emit({"lambda_bar": list(lb), "order": args.order, "rows": rows})
@@ -273,12 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("lam", metavar="lambda")
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_FORMULA_N)
+    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_FORMULA_K)
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("egf", help="exact truncated generating function")
     p.add_argument("lambda_bar")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--check", action="store_true")
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_EGF_ORDER)
     p.set_defaults(func=cmd_egf)
 
     p = sub.add_parser("verify", help="three-route agreement sweep")

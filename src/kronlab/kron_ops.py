@@ -10,7 +10,20 @@ signed monomial h_alpha by the sum over partition tuples
 
 Applied to s_mu this reproduces the Kronecker product expansion without
 touching a character table, and it does not depend on the largest part
-of the indexing partition.  ``apply`` is one call to the summed composite
+of the indexing partition.
+
+The operator's cost grows steeply with the weight of its tail, and any
+of four tails can index one product: s_lam * s_mu = s_mu * s_lam, and
+s_lam' * s_mu' = s_lam * s_mu because the character of lam' is the sign
+character times that of lam (Macdonald I.7).  So
+``kron_product_via_operator`` builds the operator from whichever of lam,
+mu, lam', mu' has the longest first row, the first in that order on a
+tie, and applies it to s_mu, s_lam, s_mu' or s_lam' in turn; the
+conjugate pairs travel together, so no omega is needed.  The route is
+therefore symmetric by construction: a relation check on the operator
+calls ``apply(build_operator(.))`` at a fixed orientation.
+
+``apply`` is one call to the summed composite
 ``symfunc.skew_then_multiply``, which shares the skews and products of
 terms with a common prefix of nu's.
 
@@ -30,6 +43,7 @@ from .partitions import (
     Partition,
     check_partition,
     check_same_weight,
+    conjugate,
     partitions_of,
     weight,
 )
@@ -88,9 +102,18 @@ def apply(op: KroneckerOperator, f: SchurSum) -> SchurSum:
 
 
 def kron_product_via_operator(lam: Partition, mu: Partition) -> SchurSum:
-    """Kronecker product expansion of the lam and mu irreducibles."""
+    """Kronecker product expansion of the lam and mu irreducibles.
+
+    The product is symmetric and unchanged when both factors are
+    conjugated, so the operator is built from whichever of lam, mu, lam',
+    mu' has the longest first row (the first of them on a tie) and
+    applied to the Schur function of its partner."""
     _, (lam, mu) = check_same_weight(lam, mu)
-    return apply(build_operator(lam[1:]), SchurSum.schur(mu))
+    lam_c, mu_c = conjugate(lam), conjugate(mu)
+    pairs = ((lam, mu), (mu, lam), (lam_c, mu_c), (mu_c, lam_c))
+    # max keeps the first of equal keys; () sorts below every first row
+    index, partner = max(pairs, key=lambda pair: pair[0][:1])
+    return apply(build_operator(index[1:]), SchurSum.schur(partner))
 
 
 # (n, k) -> k-th power of the (n-1,1) irreducible; values are only read

@@ -14,12 +14,12 @@ product pairs, so they are memoised once for all pairs, as tuples; each
 shape and row-count tuple they store is the one object held for it in
 ``_shared``, and those shapes are also the keys of the product memo.
 ``lr_coefficient`` reads its coefficient from that per-pair memo, and a
-skew s_lam/gamma is expanded from those coefficients once per pair
-(lam, gamma) and memoised.  The memoised dicts are shared, so callers
-only read them.  ``skew_then_multiply`` is the one composite behind the
-operator route and ``h_inner_s``: it sums a list of (coefficient,
-nu-tuple) terms, computing the skew by each shared prefix of nu's once
-and multiplying by each s_nu once per shared prefix.  It works on term
+skew s_lam/gamma is expanded from those coefficients, over the shapes
+inside lam only, once per pair (lam, gamma) and memoised.  The memoised
+dicts are shared, so callers only read them.  ``skew_then_multiply`` is
+the one composite behind the operator route and ``h_inner_s``: it sums a
+list of (coefficient, nu-tuple) terms, computing the skew by each shared
+prefix of nu's once and multiplying by each s_nu once per shared prefix.  It works on term
 dicts through the two private helpers that ``perp`` and ``multiply`` are
 built on, ``_skew`` and ``_add_products``, and checks the weight of every
 intermediate sum as a ``SchurSum``.
@@ -228,7 +228,10 @@ def _lattice_strips(
 
 
 def multiply(f: SchurSum, g: SchurSum) -> SchurSum:
-    """Product of two Schur sums; degrees add."""
+    """Product of two Schur sums; degrees add.  Every term must be a
+    partition."""
+    for p in (*f.terms, *g.terms):
+        check_partition(p)
     result: dict[Partition, int] = {}
     _add_products(result, f.terms, f.degree, g.terms, g.degree)
     return SchurSum(f.degree + g.degree, result)
@@ -257,12 +260,31 @@ def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
     if not contains(lam, gamma):
         return {}
     out = {}
-    for alpha in partitions_of(weight(lam) - weight(gamma)):
-        if contains(lam, alpha):
-            lr = lr_coefficient(gamma, alpha, lam)
-            if lr:
-                out[alpha] = lr
+    for alpha in _partitions_inside(lam, weight(lam) - weight(gamma)):
+        lr = lr_coefficient(gamma, alpha, lam)
+        if lr:
+            out[alpha] = lr
     return out
+
+
+def _partitions_inside(lam: Partition, d: int) -> Iterator[Partition]:
+    """The partitions of d <= |lam| contained in lam, in the reverse
+    lexicographic order of ``partitions_of(d)``.  They are built row by row
+    with alpha_i <= min(alpha_(i-1), lam_i), and a row takes a part only if
+    the rows of lam after it, holding at most that part each, can still
+    take the rest."""
+    last = len(lam) - 1
+
+    def rows(i: int, left: int, cap: int, alpha: Partition) -> Iterator[Partition]:
+        if not left:
+            yield alpha
+            return
+        for part in range(min(left, cap, lam[i]), 0, -1):
+            if left - part > part * (last - i):
+                return  # a smaller part leaves more for rows that hold less
+            yield from rows(i + 1, left - part, part, alpha + (part,))
+
+    return rows(0, d, d, ())
 
 
 def perp(gamma: Partition, f: SchurSum) -> SchurSum:

@@ -209,11 +209,49 @@ def test_formula_answers_at_scale(capsys):
     code, out, err = run(capsys, "formula", "1200", "1000", "[1200]")
     assert (code, err) == (0, "")
     assert json.loads(out)["multiplicity"] == str(singleton_free_partitions(1000))
-    code, out, err = run(capsys, "formula", "2500", "2000", "[2500]")
+    code, out, err = run(capsys, "formula", "2500", "2000", "[2500]", "--max-k", "2000")
     assert (code, err) == (0, "")
     value = json.loads(out)["multiplicity"]
     # 4347 digits, leading ones as sum_j (-1)^(k-j) C(k, j) B_j gives them
     assert len(value) == 4347 and value.startswith("36142483732778171640")
+
+
+FORMULA_LIMIT = "error: resource limit (n <= 2500, k <= 1000); raise --max-n/--max-k to proceed\n"
+
+
+def test_formula_n_cap_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "formula", "2501", "0", "[2501]")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == FORMULA_LIMIT
+    assert run(capsys, "formula", "12", "5", "[9,2,1]", "--max-n", "11")[:2] == (3, "")
+    code, out, _ = run(capsys, "formula", "12", "5", "[9,2,1]", "--max-n", "12")
+    assert (code, json.loads(out)["multiplicity"]) == (0, "70")
+
+
+def test_formula_k_cap_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "formula", "10000000", "1000000", "[10000000]")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == FORMULA_LIMIT
+    assert run(capsys, "formula", "2500", "2000", "[2500]")[:2] == (3, "")
+    assert run(capsys, "formula", "12", "5", "[9,2,1]", "--max-k", "4")[:2] == (3, "")
+    code, out, _ = run(capsys, "formula", "12", "5", "[9,2,1]", "--max-k", "5")
+    assert (code, json.loads(out)["multiplicity"]) == (0, "70")
+
+
+def test_egf_order_cap_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "egf", "[3,2,1]", "--order", "400")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: resource limit (order <= 100); raise --max-order to proceed\n"
+    code, out, _ = run(capsys, "egf", "[1]", "--order", "4", "--check", "--max-order", "3")
+    assert (code, out) == (3, "")
+    code, out, _ = run(capsys, "egf", "[1]", "--order", "4", "--max-order", "4")
+    assert (code, json.loads(out)["coefficients"][1]) == (0, "1")
 
 
 @pytest.mark.parametrize("action", ["count", "list"])

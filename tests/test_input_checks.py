@@ -8,7 +8,7 @@ from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import TruncatedEGF, multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import parse_partition, partitions_of
-from kronlab.symfunc import SchurSum
+from kronlab.symfunc import SchurSum, multiply
 from kronlab.tableaux import (
     BijectionError,
     DecCyclePermutation,
@@ -40,6 +40,11 @@ CASES = {
         lambda: SchurSum.schur((2,)) + SchurSum.schur((1,)),
         ValueError,
         "different degrees",
+    ),
+    "multiply-non-partition": (
+        lambda: multiply(SchurSum(1, {(1, 0): 1}), SchurSum.schur((1,))),
+        ValueError,
+        "not a partition",
     ),
     "schur-sum-immutable": (
         lambda: setattr(SchurSum.schur((1,)), "degree", 2),

@@ -1,6 +1,14 @@
+import random
+from unittest import mock
+
 import pytest
 
-from kronlab.characters import kron_coefficient, kron_power_oracle
+from kronlab import kron_ops
+from kronlab.characters import (
+    kron_coefficient,
+    kron_power_oracle,
+    kron_product_via_characters,
+)
 from kronlab.kron_ops import (
     KroneckerOperator,
     apply,
@@ -8,7 +16,7 @@ from kronlab.kron_ops import (
     kron_power_nm1,
     kron_product_via_operator,
 )
-from kronlab.partitions import partitions_of
+from kronlab.partitions import conjugate, partitions_of
 from kronlab.symfunc import SchurSum
 
 
@@ -71,12 +79,64 @@ def test_operator_equals_character_route(n):
                 assert got.coefficient(alpha) == kron_coefficient(lam, mu, alpha)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_operator_equals_character_route(n):
+    # every tail, also the tall ones, for which kron_product_via_operator
+    # builds the operator of a conjugate instead
+    ps = partitions_of(n)
+    for kappa in ps:
+        op = build_operator(kappa[1:])
+        for mu in ps:
+            got = apply(op, SchurSum.schur(mu))
+            assert got == kron_product_via_characters(kappa, mu), (kappa, mu)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_product_commutes(n):
+    # at fixed orientations: the public function picks one of these itself
     ps = partitions_of(n)
     for lam in ps:
         for mu in ps:
-            assert kron_product_via_operator(lam, mu) == kron_product_via_operator(mu, lam)
+            by_lam = apply(build_operator(lam[1:]), SchurSum.schur(mu))
+            by_mu = apply(build_operator(mu[1:]), SchurSum.schur(lam))
+            by_conjugates = apply(
+                build_operator(conjugate(lam)[1:]), SchurSum.schur(conjugate(mu))
+            )
+            assert by_lam == by_mu == by_conjugates, (lam, mu)
+
+
+def test_operator_built_from_the_longest_first_row():
+    # from lam' = (12) the operator is the identity, applied to s_mu'
+    build_operator.cache_clear()
+    got = kron_product_via_operator((1,) * 12, (7, 3, 2))
+    assert got == SchurSum.schur((3, 3, 2, 1, 1, 1, 1))
+    assert build_operator.cache_info().misses == 1
+    build_operator(())
+    assert build_operator.cache_info().hits == 1
+
+
+def test_orientation_choice_on_seeded_pairs():
+    rng = random.Random(1313)
+    built = []
+
+    def spy(tail):
+        built.append(tail)
+        return build_operator(tail)
+
+    wins = set()
+    with mock.patch.object(kron_ops, "build_operator", spy):
+        for _ in range(240):
+            n = rng.randint(1, 10)
+            lam, mu = rng.choice(partitions_of(n)), rng.choice(partitions_of(n))
+            first_rows = [lam[0], mu[0], len(lam), len(mu)]
+            # the first of the longest first rows, in the order lam, mu, lam', mu'
+            win = first_rows.index(max(first_rows))
+            index = (lam, mu, conjugate(lam), conjugate(mu))[win]
+            got = kron_ops.kron_product_via_operator(lam, mu)
+            assert built.pop() == index[1:] and not built, (lam, mu)
+            assert got == kron_product_via_characters(lam, mu), (lam, mu)
+            wins.add(win)
+    assert wins == {0, 1, 2, 3}
 
 
 def test_coefficients_nonnegative_on_schur_inputs():

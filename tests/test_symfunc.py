@@ -9,6 +9,7 @@ from kronlab.symfunc import (
     HMonomial,
     SchurSum,
     _lattice_strips,
+    _partitions_inside,
     _schur_product_terms,
     h_inner_s,
     h_to_schur,
@@ -134,6 +135,14 @@ def test_skews_match_lr_coefficients_up_to_weight_9():
                         {alpha: lr_fillings(gamma, alpha, lam) for alpha in partitions_of(w - g)},
                     )
                     assert perp(gamma, SchurSum.schur(lam)) == expected, (lam, gamma)
+
+
+def test_partitions_inside_match_filtered_partitions():
+    for w in range(0, 11):
+        for lam in partitions_of(w):
+            for d in range(0, w + 1):
+                want = [alpha for alpha in partitions_of(d) if contains(lam, alpha)]
+                assert list(_partitions_inside(lam, d)) == want, (lam, d)
 
 
 def test_lr_coefficient_matches_lr_fillings_up_to_weight_8():
