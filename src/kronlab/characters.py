@@ -27,11 +27,11 @@ product per irreducible.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 from operator import mul
 
+from ._record import Record
 from .partitions import (
     Partition,
     check_same_weight,
@@ -160,11 +160,11 @@ def _project_onto_schur(n: int, *rows: tuple[int, ...]) -> SchurSum:
     return SchurSum(n, terms)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    n: int
-    partitions: tuple[Partition, ...]  # canonical order, rows and columns
-    values: tuple[tuple[int, ...], ...]  # values[row lam][col mu]
+class CharacterTable(Record):
+    """The n partitions in canonical order, naming both rows and columns,
+    and values[row lam][col mu]."""
+
+    __slots__ = ("n", "partitions", "values")
 
     def value(self, lam: Partition, mu: Partition) -> int:
         i = self.partitions.index(tuple(lam))

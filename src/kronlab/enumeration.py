@@ -3,12 +3,13 @@ and exact truncated exponential generating functions.
 
 Everything here is exact: counts are big integers, series coefficients
 are rationals, and the generating-function checks are equalities rather
-than tolerances.
+than tolerances.  ``fractions`` (with ``decimal`` and ``numbers`` behind
+it) is imported where a series is built, so that only a process that
+builds one pays for loading it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import comb, factorial
@@ -44,10 +45,12 @@ def _formula_sum(k: int, ell: int) -> int:
     """The double sum of ``multiplicity_formula`` over fixed points m1 and
     blocks m2 (k letters, ell cells below the first row), read off one pass
     over the rows of p2."""
+    top = min(ell, k)
+    choose_k = [comb(k, m1) for m1 in range(top + 1)]
     total = 0
     for m2, row in enumerate(_p2_rows(k)):
-        for m1 in range(max(0, ell - m2), min(ell, k) + 1):
-            total += comb(k, m1) * comb(m2, ell - m1) * row[k - m1]
+        for m1 in range(max(0, ell - m2), top + 1):
+            total += choose_k[m1] * comb(m2, ell - m1) * row[k - m1]
     return total
 
 
@@ -84,6 +87,8 @@ class TruncatedEGF:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
+        from fractions import Fraction
+
         self.coeffs = tuple(Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("need at least the constant coefficient")
@@ -114,7 +119,7 @@ class TruncatedEGF:
 
     def __mul__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         K = min(self.order, other.order)
-        out = [Fraction(0)] * (K + 1)
+        out = [0] * (K + 1)
         for i, ci in enumerate(self.coeffs[: K + 1]):
             if not ci:
                 continue
@@ -125,13 +130,22 @@ class TruncatedEGF:
         return TruncatedEGF(out)
 
     def scale(self, c) -> "TruncatedEGF":
+        from fractions import Fraction
+
         c = Fraction(c)
         return TruncatedEGF([c * x for x in self.coeffs])
 
     def pow(self, e: int) -> "TruncatedEGF":
-        out = TruncatedEGF.one(self.order)
-        for _ in range(e):
-            out = out * self
+        """The e-th power by repeated squaring, about 2 log2(e) products."""
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        out, square = TruncatedEGF.one(self.order), self
+        while e:
+            if e & 1:
+                out = out * square
+            e >>= 1
+            if e:
+                square = square * square
         return out
 
     def exp(self) -> "TruncatedEGF":
@@ -139,6 +153,8 @@ class TruncatedEGF:
 
         g = exp(f) solves g' = f'g, so g_0 = 1 and
         n g_n = sum_{j=1..n} j f_j g_{n-j}, which takes O(K^2) products."""
+        from fractions import Fraction
+
         f = self.coeffs
         if f[0] != 0:
             raise ValueError("exp needs a zero constant term")
@@ -158,6 +174,8 @@ class TruncatedEGF:
 
     @staticmethod
     def exp_x(K: int) -> "TruncatedEGF":
+        from fractions import Fraction
+
         return TruncatedEGF([Fraction(1, factorial(j)) for j in range(K + 1)])
 
     def __repr__(self) -> str:
@@ -176,6 +194,8 @@ def egf_rhs(lambda_bar: Partition, K: int) -> TruncatedEGF:
         f / ell! * exp(e^x - x - 1) * (e^x - 1)^ell
 
     with ell the weight of lambda_bar and f its standard-tableau count."""
+    from fractions import Fraction
+
     lambda_bar = check_partition(lambda_bar)
     ell = weight(lambda_bar)
     if K < ell:

@@ -35,10 +35,10 @@ sums are shared, so callers only read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
+from ._record import Record
 from .partitions import (
     Partition,
     check_partition,
@@ -50,8 +50,7 @@ from .partitions import (
 from .symfunc import SchurSum, h_determinant, skew_then_multiply
 
 
-@dataclass(frozen=True)
-class KroneckerOperator:
+class KroneckerOperator(Record):
     """Signed sum of composite multiply/skew terms.
 
     Each term is (coefficient, nu_list); it acts linearly by skewing by
@@ -59,7 +58,7 @@ class KroneckerOperator:
     coefficient times the identity.
     """
 
-    terms: tuple[tuple[int, tuple[Partition, ...]], ...]
+    __slots__ = ("terms",)  # tuple[tuple[int, tuple[Partition, ...]], ...]
 
     def normalize(self) -> "KroneckerOperator":
         """Merge terms whose nu multisets agree; deterministic order."""

@@ -8,17 +8,16 @@ convention: row 1 is the bottom (longest) row, rows and columns are
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from math import factorial
-from typing import NamedTuple
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
 
-class CornerSet(NamedTuple):
-    corners: tuple[Cell, ...]
-    first_corner: Cell | None
+# corners: tuple[Cell, ...]; first_corner: Cell | None
+CornerSet = namedtuple("CornerSet", ("corners", "first_corner"))
 
 
 def is_partition(parts) -> bool:

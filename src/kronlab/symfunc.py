@@ -27,9 +27,10 @@ intermediate sum as a ``SchurSum``.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import product as iproduct
-from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -65,6 +66,9 @@ class SchurSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("SchurSum is immutable")
+
+    def __reduce__(self):
+        return SchurSum, (self.degree, self.terms)
 
     @classmethod
     def schur(cls, p) -> "SchurSum":
@@ -124,11 +128,8 @@ class SchurSum:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-class HMonomial(NamedTuple):
-    """One signed product of complete homogeneous functions h_(indices)."""
-
-    coeff: int
-    indices: Partition
+HMonomial = namedtuple("HMonomial", ("coeff", "indices"))
+HMonomial.__doc__ = "One signed product of complete homogeneous functions h_(indices)."
 
 
 @cache

@@ -24,9 +24,9 @@ and from there with pairs (T, pi) via RSK insertion and deletion.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import Record
 from .partitions import (
     Cell,
     Partition,
@@ -77,12 +77,10 @@ def _step_cells(
     return vacated, filled
 
 
-@dataclass(frozen=True)
-class KroneckerTableau:
+class KroneckerTableau(Record):
     """Walk of equal-weight shapes; marks sit on the stay steps."""
 
-    shapes: tuple[Partition, ...]
-    marks: tuple[Cell | None, ...]
+    __slots__ = ("shapes", "marks")  # tuple[Partition, ...], tuple[Cell | None, ...]
 
     def __post_init__(self):
         if len(self.marks) != len(self.shapes) - 1:
@@ -113,13 +111,11 @@ class KroneckerTableau:
         return self.shapes[-1]
 
 
-@dataclass(frozen=True)
-class ReducedWalk:
+class ReducedWalk(Record):
     """Walk from the empty shape whose steps add, remove or move a corner,
     or stay with one distinguished corner."""
 
-    shapes: tuple[Partition, ...]
-    marks: tuple[Cell | None, ...]
+    __slots__ = ("shapes", "marks")  # tuple[Partition, ...], tuple[Cell | None, ...]
 
     def __post_init__(self):
         if len(self.marks) != len(self.shapes) - 1:
@@ -308,12 +304,11 @@ def unstrip(w: ReducedWalk, n: int) -> KroneckerTableau:
 # partial standard tableaux and RSK
 
 
-@dataclass(frozen=True)
-class PartialStandardTableau:
+class PartialStandardTableau(Record):
     """Distinct integer labels increasing along rows and up columns;
     rows[0] is the bottom (longest) row."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)  # tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         seen = set()
@@ -408,12 +403,11 @@ def _place_label(
 # decreasing-cycle permutations
 
 
-@dataclass(frozen=True)
-class DecCyclePermutation:
+class DecCyclePermutation(Record):
     """Permutation whose nontrivial cycles, written greatest element
     first, strictly decrease; stored as cycles sorted by greatest element."""
 
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ("cycles",)  # tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         seen = set()

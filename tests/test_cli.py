@@ -12,7 +12,7 @@ from kronlab.cli import ROUTES, main
 from kronlab.symfunc import SchurSum
 
 from oracles import singleton_free_partitions
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, digest
 
 S4_ASCII_ROW = "[2,1,1]      1      0     -1       -1          3"
 
@@ -416,6 +416,33 @@ def test_tableaux_count_at_a_large_weight_answers_at_once():
         capture_output=True, text=True, env=source_env(), timeout=10,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+def fresh_process(code):
+    """Run ``code`` in a fresh interpreter; return its exit code, its stdout
+    and the names of the modules loaded by its end, which it lists on stderr."""
+    script = f"import sys\ntry:\n    {code}\nfinally:\n    print(*sys.modules, file=sys.stderr)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=source_env(), timeout=60,
+    )
+    return proc.returncode, proc.stdout, set(proc.stderr.split())
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # start-up cost: compared with what the bare interpreter's site loads
+    _, _, bare = fresh_process("pass")
+    code, out, loaded = fresh_process("import kronlab.cli")
+    assert (code, out) == (0, "")
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+    assert not (loaded - bare) & heavy
+
+
+def test_egf_check_loads_fractions_and_prints_the_golden_bytes():
+    argv = CASES["egf-check"][0]
+    code, out, loaded = fresh_process(f"from kronlab.cli import main; sys.exit(main({argv!r}))")
+    assert "fractions" in loaded
+    assert (code, digest(out)) == GOLDEN["egf-check"]
 
 
 def test_closed_stdout_pipe_exit_2_without_traceback(tmp_path):

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from kronlab.enumeration import (
     TruncatedEGF,
+    _formula_sum,
     _p2_rows,
     egf_check,
     egf_rhs,
@@ -135,6 +136,31 @@ def test_exp_matches_power_sum_oracle(seed):
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K)
         ]
         assert TruncatedEGF(f).exp().coeffs == tuple(exp_series(f))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pow_matches_repeated_products(seed):
+    rng = random.Random(seed)
+    for K in range(9):
+        f = TruncatedEGF([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K + 1)])
+        power = TruncatedEGF.one(K)
+        for e in range(10):
+            assert f.pow(e) == power
+            power = power * f
+    with pytest.raises(ValueError, match="nonnegative"):
+        TruncatedEGF.one(3).pow(-1)
+
+
+def test_formula_sum_matches_the_direct_double_sum():
+    # fixed points m1, blocks m2: C(k, m1) C(m2, ell - m1) p2(k - m1, m2)
+    for k in range(16):
+        for ell in range(k + k // 2 + 2):
+            direct = sum(
+                comb(k, m1) * comb(m2, ell - m1) * p2_recursive(k - m1, m2)
+                for m1 in range(min(ell, k) + 1)
+                for m2 in range(k // 2 + 1)
+            )
+            assert _formula_sum(k, ell) == direct, (k, ell)
 
 
 def test_no_small_blocks_series():
