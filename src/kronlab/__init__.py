@@ -7,6 +7,7 @@ from .partitions import (
     CornerSet,
     Partition,
     add_corner_positions,
+    bijection_regime_ok,
     class_size,
     corners,
     format_partition,
@@ -17,11 +18,9 @@ from .partitions import (
     weight,
 )
 from .symfunc import (
-    HMonomial,
     SchurSum,
     h_inner_s,
     h_to_schur,
-    jacobi_trudi,
     lr_coefficient,
     multiply,
     perp,
@@ -53,7 +52,6 @@ from .tableaux import (
     KroneckerTableau,
     PartialStandardTableau,
     ReducedWalk,
-    bijection_regime_ok,
     count_kronecker_tableaux,
     format_walk,
     from_pair,

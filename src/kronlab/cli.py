@@ -52,6 +52,16 @@ ROUTES = {
 METHOD_ROUTES = {"both": ("operator", "character"), "all": tuple(ROUTES)}
 
 
+def _methods(command: str) -> list[str]:
+    """The --method values of ``command``: each route that has it, then
+    each name of several routes that all have it."""
+    return [
+        name
+        for name in (*ROUTES, *METHOD_ROUTES)
+        if all(command in ROUTES[r] for r in METHOD_ROUTES.get(name, (name,)))
+    ]
+
+
 def _run_routes(command: str, method: str, *inputs) -> dict[str, symfunc.SchurSum]:
     names = METHOD_ROUTES.get(method, (method,))
     return {name: ROUTES[name][command](*inputs) for name in names}
@@ -132,7 +142,7 @@ def cmd_tableaux(args) -> int:
     lam = parse_partition(args.lam)
     if weight(mu) != weight(lam):
         raise ValueError(f"weight mismatch {mu} vs {lam}")
-    if args.limit <= 0:
+    if args.action == "list" and args.limit <= 0:
         raise ValueError("--limit must be positive")
     if args.k > args.max_k:
         raise _limit(k=args.max_k)
@@ -236,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu", help="partition of the same weight")
     p.add_argument(
         "--method",
-        choices=["operator", "character", "both"],
+        choices=_methods("kron"),
         default="both",
     )
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_CHARTABLE_N)
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument(
         "--method",
-        choices=["operator", "character", "tableaux", "both", "all"],
+        choices=_methods("power"),
         default="both",
     )
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)

@@ -3,9 +3,11 @@ and exact truncated exponential generating functions.
 
 Everything here is exact: counts are big integers, series coefficients
 are rationals, and the generating-function checks are equalities rather
-than tolerances.  ``fractions`` (with ``decimal`` and ``numbers`` behind
-it) is imported where a series is built, so that only a process that
-builds one pays for loading it.
+than tolerances.  Only ``partitions`` is imported, the formula's regime
+test included, so the route stays independent of the walks it checks.
+``fractions`` (with ``decimal`` and ``numbers`` behind it) is imported
+where a series is built, so that only a process that builds one pays for
+loading it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ from functools import cache
 from itertools import islice
 from math import comb, factorial
 
-from .partitions import Partition, check_partition, standard_tableaux_count, weight
-from .tableaux import bijection_regime_ok
+from .partitions import (
+    Partition,
+    bijection_regime_ok,
+    check_partition,
+    standard_tableaux_count,
+    weight,
+)
 
 
 def _p2_rows(k: int):

@@ -9,6 +9,7 @@ convention: row 1 is the bottom (longest) row, rows and columns are
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
 from math import factorial
 
@@ -54,16 +55,34 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return tuple(partitions_inside((n,) * n, n))
 
-    def gen(total, maxpart):
-        if total == 0:
-            yield ()
+
+def partitions_inside(lam: Partition, d: int) -> Iterator[Partition]:
+    """The partitions of d <= |lam| contained in lam, in reverse
+    lexicographic order.  They are built row by row with
+    alpha_i <= min(alpha_(i-1), lam_i), and a row takes a part only if the
+    rows of lam after it, holding at most that part each, can still take
+    the rest."""
+    last = len(lam) - 1
+
+    def rows(i: int, left: int, cap: int, alpha: Partition) -> Iterator[Partition]:
+        if not left:
+            yield alpha
             return
-        for first in range(min(total, maxpart), 0, -1):
-            for rest in gen(total - first, first):
-                yield (first,) + rest
+        for part in range(min(left, cap, lam[i]), 0, -1):
+            if left - part > part * (last - i):
+                return  # a smaller part leaves more for rows that hold less
+            yield from rows(i + 1, left - part, part, alpha + (part,))
 
-    return tuple(gen(n, n))
+    return rows(0, d, d, ())
+
+
+def bijection_regime_ok(n: int, k: int, lam: Partition) -> bool:
+    """The paper's regime n >= k + lam_2, in which the walks to lam biject
+    with (tableau, permutation) pairs and the closed formula holds."""
+    second = lam[1] if len(lam) > 1 else 0
+    return n >= k + second
 
 
 def canonical_sort(ps) -> list[Partition]:

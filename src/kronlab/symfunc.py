@@ -4,7 +4,8 @@ The core object is :class:`SchurSum`, a formal integer combination of
 Schur functions of one common degree.  Multiplication expands through the
 Littlewood-Richardson rule, ``perp`` is the adjoint of multiplication
 under the Hall scalar product, and the ``h``-side operations expand
-products of complete homogeneous functions.
+products of complete homogeneous functions; ``h_determinant`` expands
+the operator's determinant and Jacobi-Trudi's s_lam = det(h_{lam_i-i+j}).
 
 One engine counts LR fillings: a product of two Schur functions is built
 from them directly, adding the content of the smaller factor one label
@@ -15,8 +16,9 @@ shape and row-count tuple they store is the one object held for it in
 ``_shared``, and those shapes are also the keys of the product memo.
 ``lr_coefficient`` reads its coefficient from that per-pair memo, and a
 skew s_lam/gamma is expanded from those coefficients, over the shapes
-inside lam only, once per pair (lam, gamma) and memoised.  The memoised
-dicts are shared, so callers only read them.  ``skew_then_multiply`` is
+inside lam only (``partitions.partitions_inside``), once per pair
+(lam, gamma) and memoised.  The memoised dicts are shared, so callers
+only read them.  ``skew_then_multiply`` is
 the one composite behind the operator route and ``h_inner_s``: it sums a
 list of (coefficient, nu-tuple) terms, computing the skew by each shared
 prefix of nu's once and multiplying by each s_nu once per shared prefix.  It works on term
@@ -27,7 +29,6 @@ intermediate sum as a ``SchurSum``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import product as iproduct
@@ -38,6 +39,7 @@ from .partitions import (
     check_partition,
     check_same_weight,
     contains,
+    partitions_inside,
     partitions_of,
     weight,
 )
@@ -126,10 +128,6 @@ class SchurSum:
             coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
             bits.append(f"{coeff}s{list(p)}")
         return " + ".join(bits).replace("+ -", "- ")
-
-
-HMonomial = namedtuple("HMonomial", ("coeff", "indices"))
-HMonomial.__doc__ = "One signed product of complete homogeneous functions h_(indices)."
 
 
 @cache
@@ -261,31 +259,11 @@ def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
     if not contains(lam, gamma):
         return {}
     out = {}
-    for alpha in _partitions_inside(lam, weight(lam) - weight(gamma)):
+    for alpha in partitions_inside(lam, weight(lam) - weight(gamma)):
         lr = lr_coefficient(gamma, alpha, lam)
         if lr:
             out[alpha] = lr
     return out
-
-
-def _partitions_inside(lam: Partition, d: int) -> Iterator[Partition]:
-    """The partitions of d <= |lam| contained in lam, in the reverse
-    lexicographic order of ``partitions_of(d)``.  They are built row by row
-    with alpha_i <= min(alpha_(i-1), lam_i), and a row takes a part only if
-    the rows of lam after it, holding at most that part each, can still
-    take the rest."""
-    last = len(lam) - 1
-
-    def rows(i: int, left: int, cap: int, alpha: Partition) -> Iterator[Partition]:
-        if not left:
-            yield alpha
-            return
-        for part in range(min(left, cap, lam[i]), 0, -1):
-            if left - part > part * (last - i):
-                return  # a smaller part leaves more for rows that hold less
-            yield from rows(i + 1, left - part, part, alpha + (part,))
-
-    return rows(0, d, d, ())
 
 
 def perp(gamma: Partition, f: SchurSum) -> SchurSum:
@@ -340,17 +318,6 @@ def h_determinant(matrix: list[list[int]]) -> dict[Partition, int]:
 
     expand(0, 0, 1, [])
     return {p: c for p, c in acc.items() if c}
-
-
-def jacobi_trudi(lam: Partition) -> list[HMonomial]:
-    """Signed h-expansion of s_lam from the determinant det(h_{lam_i-i+j}).
-
-    Terms are listed in canonical order of their index partitions.
-    """
-    lam = check_partition(lam)
-    m = len(lam)
-    acc = h_determinant([[lam[i] - i + j for j in range(m)] for i in range(m)])
-    return [HMonomial(acc[p], p) for p in canonical_sort(acc)]
 
 
 @cache

@@ -17,8 +17,9 @@ so callers only read them.  The listing steps the vectors it prunes by in
 a local list and leaves the memo as it was.
 
 When the first row stays long enough (n >= k + second part of the final
-shape) the walks biject with shorter walks started at the empty shape,
-and from there with pairs (T, pi) via RSK insertion and deletion.
+shape, ``partitions.bijection_regime_ok``) the walks biject with shorter
+walks started at the empty shape, and from there with pairs (T, pi) via
+RSK insertion and deletion.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .partitions import (
     parse_partition,
     remove_corner,
     add_corner_positions,
+    bijection_regime_ok,
     weight,
 )
 from .symfunc import SchurSum
@@ -250,12 +252,6 @@ def list_kronecker_tableaux(
 # first-row stripping
 
 
-def bijection_regime_ok(n: int, k: int, lam: Partition) -> bool:
-    """Whether the pair correspondence is guaranteed for final shape lam."""
-    second = lam[1] if len(lam) > 1 else 0
-    return n >= k + second
-
-
 def strip_first_row(
     K: KroneckerTableau, n: int, k: int, require_regime: bool = True
 ) -> ReducedWalk:
@@ -273,17 +269,9 @@ def strip_first_row(
             f"n={n} < k + second part of {K.final}; pass require_regime=False "
             "to strip anyway"
         )
-    shapes = tuple(s[1:] for s in K.shapes)
-    marks: list[Cell | None] = []
-    for mark in K.marks:
-        if mark is None:
-            marks.append(None)
-        else:
-            row, col = mark
-            if row < 2:
-                raise BijectionError(f"mark {mark} sits on the first row")
-            marks.append((row - 1, col))
-    return ReducedWalk(shapes, tuple(marks))
+    # a stay never marks row 1: a row-1 corner is always the first corner
+    marks = tuple(None if m is None else (m[0] - 1, m[1]) for m in K.marks)
+    return ReducedWalk(tuple(s[1:] for s in K.shapes), marks)
 
 
 def unstrip(w: ReducedWalk, n: int) -> KroneckerTableau:

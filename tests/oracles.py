@@ -2,10 +2,10 @@
 
 Nothing here calls back into the routines under test: polynomials are
 expanded monomial by monomial, tableaux, LR fillings, set partitions and
-walks are listed exhaustively, walk steps are recomputed cell by cell,
-character values come from border-strip removal, the partition function
-comes from the pentagonal recurrence and exponentials of series from
-their power sums.
+walks are listed exhaustively, partitions are filtered from all
+compositions, walk steps are recomputed cell by cell, character values
+come from border-strip removal, the partition function comes from the
+pentagonal recurrence and exponentials of series from their power sums.
 """
 
 from bisect import bisect_left
@@ -199,6 +199,19 @@ def set_partitions(items):
         for i, block in enumerate(smaller):
             yield smaller[:i] + [block + (first,)] + smaller[i + 1 :]
         yield [(first,)] + smaller
+
+
+@cache
+def partitions_listed(n):
+    """All partitions of n in reverse lexicographic order, by keeping the
+    weakly decreasing ones among all 2^(n-1) compositions of n."""
+    found = []
+    for cuts in range(1 << max(n - 1, 0)):
+        ends = [i + 1 for i in range(n - 1) if cuts >> i & 1] + [n]
+        parts = tuple(b - a for a, b in zip([0] + ends, ends)) if n else ()
+        if list(parts) == sorted(parts, reverse=True):
+            found.append(parts)
+    return tuple(sorted(found, reverse=True))
 
 
 @cache

@@ -60,6 +60,21 @@ def test_unknown_method_rejected(capsys):
     assert code == 2
 
 
+def test_method_choices_follow_the_route_table(capsys, monkeypatch):
+    monkeypatch.setitem(ROUTES, "kron-only", {"kron": ROUTES["operator"]["kron"]})
+    monkeypatch.setitem(ROUTES, "power-only", {"power": ROUTES["operator"]["power"]})
+    for name, commands in ROUTES.items():
+        code, _, err = run(capsys, "power", "3", "1", f"--method={name}")
+        if "power" in commands:
+            assert code == 0, name
+        else:
+            assert code == 2 and "invalid choice" in err, name
+    assert run(capsys, "kron", "[2,1]", "[2,1]", "--method=kron-only")[0] == 0
+    for name in ("tableaux", "power-only", "all"):
+        code, _, err = run(capsys, "kron", "[2,1]", "[2,1]", f"--method={name}")
+        assert code == 2 and "invalid choice" in err, name
+
+
 def test_power_all_routes(capsys):
     code, out, _ = run(capsys, "power", "4", "2", "--method=all")
     assert code == 0
@@ -123,6 +138,11 @@ def test_chartable_ceiling_is_its_own_option(capsys):
 def test_tableaux_count(capsys):
     code, out, _ = run(capsys, "tableaux", "count", "[4]", "[2,2]", "2")
     assert code == 0 and out.strip() == "1"
+
+
+def test_tableaux_count_ignores_limit(capsys):
+    argv = ("tableaux", "count", "[3]", "[2,1]", "2")
+    assert run(capsys, *argv, "--limit", "0") == run(capsys, *argv) == (0, "1\n", "")
 
 
 def test_tableaux_list_format(capsys):

@@ -1,7 +1,5 @@
 """Every library input check raises its own exception type and message."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from kronlab.characters import kron_power_oracle
@@ -21,12 +19,6 @@ from kronlab.tableaux import (
     list_kronecker_tableaux,
     parse_walk,
     strip_first_row,
-)
-
-# A marked first row is never a legal stay (a row-1 corner is always the
-# first corner), so only a walk that skipped validation carries one.
-UNCHECKED_WALK = SimpleNamespace(
-    shapes=((3,), (3,)), marks=((1, 3),), length=1, final=(3,)
 )
 
 CASES = {
@@ -107,11 +99,6 @@ CASES = {
         lambda: strip_first_row(KroneckerTableau(((3,), (2, 1)), (None,)), 3, 2),
         ValueError,
         "has length 1, expected 2",
-    ),
-    "strip-first-row-mark": (
-        lambda: strip_first_row(UNCHECKED_WALK, 3, 1),
-        BijectionError,
-        "sits on the first row",
     ),
     "tableau-empty-row": (
         lambda: PartialStandardTableau(((),)),

@@ -7,17 +7,19 @@ from kronlab.partitions import (
     canonical_sort,
     class_size,
     conjugate,
+    contains,
     corners,
     format_partition,
     is_partition,
     parse_partition,
+    partitions_inside,
     partitions_of,
     remove_corner,
     standard_tableaux_count,
     weight,
 )
 
-from oracles import partition_count, standard_fillings_count
+from oracles import partition_count, partitions_listed, standard_fillings_count
 
 
 def test_partitions_of_zero():
@@ -33,9 +35,22 @@ def test_partitions_of_ten_count():
     assert partition_count(10) == 42  # independent recurrence agrees
 
 
-@pytest.mark.parametrize("n", range(0, 13))
+@pytest.mark.parametrize("n", range(0, 31))
 def test_partition_counts_match_recurrence(n):
     assert len(partitions_of(n)) == partition_count(n)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_partitions_of_match_brute_force_listing(n):
+    assert partitions_of(n) == partitions_listed(n)
+
+
+def test_partitions_inside_match_filtered_partitions():
+    for w in range(0, 11):
+        for lam in partitions_listed(w):
+            for d in range(0, w + 1):
+                want = [alpha for alpha in partitions_listed(d) if contains(lam, alpha)]
+                assert list(partitions_inside(lam, d)) == want, (lam, d)
 
 
 def test_partitions_are_valid_and_sorted(subtests=None):
