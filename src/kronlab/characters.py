@@ -9,8 +9,12 @@ adding every border strip of size r to each of its shapes, with sign
 (-1)^height (the Murnaghan-Nakayama rule read in the adding direction,
 Macdonald I.7).  On beta-numbers (first-column hook lengths) adding a
 strip of size r moves one beta-number up by r, and the strip height is
-the number of beta-numbers jumped over.  The strips added to a shape are
-memoised per (shape, r).  The columns of each weight are built from
+the number of beta-numbers jumped over.  Shapes are addressed by their
+position in ``partitions_of``: a column is a dense list over the
+partitions of its weight, and the strips of size r added to every shape
+of weight w are memoised once per (w, r) as moves from one position to
+another, with their signs, so a column is built by a loop over indices
+with no lookup per entry.  The columns of each weight are built from
 those of smaller weights, smallest weight first, so no recursion depth
 grows with n.  Only traces are ever needed, never matrices.
 
@@ -44,10 +48,9 @@ from .partitions import (
 from .symfunc import SchurSum
 
 
-@cache
-def _strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+def _strips(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     """Every shape made by adding a border strip of size r to lam, with the
-    sign (-1)^height of the strip.  Shared, so callers only read it."""
+    sign (-1)^height of the strip."""
     rows = lam + (0,) * r  # a strip adds at most r rows
     top = len(rows) - 1
     beta = [part + top - i for i, part in enumerate(rows)]  # descending
@@ -63,43 +66,64 @@ def _strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
         moved = tuple(x + 1 for x in rows[p:j])
         shape = lam[:p] + (rows[j] + r - (j - p),) + moved + lam[j + 1 :]
         out.append((shape, -1 if (j - p) % 2 else 1))
-    return tuple(out)
+    return out
 
 
-def _add_strips(
-    states: dict[Partition, int], r: int, strips=_strips
-) -> dict[Partition, int]:
+def _add_strips(states: dict[Partition, int], r: int) -> dict[Partition, int]:
     """The Schur expansion times p_r: every strip of size r added to every
-    shape, by the strip rule ``strips``."""
+    shape."""
     out: dict[Partition, int] = {}
     for shape, coeff in states.items():
-        for lam, sign in strips(shape, r):
+        for lam, sign in _strips(shape, r):
             out[lam] = out.get(lam, 0) + sign * coeff
     return {lam: v for lam, v in out.items() if v}
 
 
 @cache
-def _columns(n: int) -> dict[Partition, dict[Partition, int]]:
-    """Column mu of the character table for every mu of weight n: the Schur
-    expansion of p_mu as {lam: value}, without zeros.  Shared, so callers
-    only read it."""
+def _index(n: int) -> dict[Partition, int]:
+    """Position of each partition of n in ``partitions_of(n)``."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
+
+
+@cache
+def _strip_moves(w: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each partition of w, by index, its strips of size r as (index of
+    the new shape in weight w + r, sign).  Shared, so callers only read it."""
+    index = _index(w + r)
+    return tuple(
+        tuple((index[shape], sign) for shape, sign in _strips(lam, r))
+        for lam in partitions_of(w)
+    )
+
+
+@cache
+def _columns(n: int) -> tuple[list[int], ...]:
+    """Column mu of the character table for every mu of weight n, by index:
+    the Schur expansion of p_mu as a dense list over the partitions of n.
+    Shared, so callers only read it."""
     if n == 0:
-        return {(): {(): 1}}
+        return ([1],)
     for smaller in range(n):
         _columns(smaller)  # fill in increasing weight: the recursion stays shallow
-    return {
-        mu: _add_strips(_columns(n - mu[0])[mu[1:]], mu[0])
-        for mu in partitions_of(n)
-    }
+    size = len(partitions_of(n))
+    out = []
+    for mu in partitions_of(n):
+        r, w = mu[0], n - mu[0]
+        col = [0] * size
+        rest = _columns(w)[_index(w)[mu[1:]]]
+        for value, moves in zip(rest, _strip_moves(w, r)):
+            if value:
+                for j, sign in moves:
+                    col[j] += sign * value
+        out.append(col)
+    return tuple(out)
 
 
 @cache
 def _table(n: int) -> dict[Partition, tuple[int, ...]]:
     """Every irreducible of weight n as its row of values over the
     partitions of n.  Shared, so callers only read it."""
-    ps = partitions_of(n)
-    columns = [_columns(n)[mu] for mu in ps]
-    return {lam: tuple(col.get(lam, 0) for col in columns) for lam in ps}
+    return dict(zip(partitions_of(n), zip(*_columns(n))))
 
 
 def _chi(lam: Partition) -> tuple[int, ...]:
@@ -114,11 +138,11 @@ def character_value(lam: Partition, mu: Partition) -> int:
     The strips of mu's parts are added one part at a time; a shape outside
     lam never grows back inside it, so only the shapes inside lam are kept
     and no whole column is expanded.  Each (shape, r) comes up once, so the
-    sweep reads the strip rule unmemoised and leaves no strips behind."""
+    sweep adds strips unmemoised and leaves no strip moves behind."""
     _, (lam, mu) = check_same_weight(lam, mu)
     states = {(): 1}
     for r in mu:
-        states = _add_strips(states, r, _strips.__wrapped__)
+        states = _add_strips(states, r)
         states = {s: v for s, v in states.items() if contains(lam, s)}
     return states.get(lam, 0)
 

@@ -28,9 +28,10 @@ calls ``apply(build_operator(.))`` at a fixed orientation.
 terms with a common prefix of nu's.
 
 Powers of the (n-1,1) irreducible are memoised in ``_powers`` per
-``(n, k)`` and carried forward from the largest cached power below k, so
-a sweep over k = 0..K costs K operator applications per n.  The stored
-sums are shared, so callers only read them.
+``(n, k)``, every step on the way included, and carried forward from the
+largest cached power below k, so any sweep over k <= K, in any order,
+costs K operator applications per n.  The stored sums are shared, so
+callers only read them.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ _powers: dict[tuple[int, int], SchurSum] = {}
 def kron_power_nm1(n: int, k: int) -> SchurSum:
     """k-th Kronecker power of the (n-1,1) irreducible, by iterating the
     single-cell operator on the one-row Schur function, starting from the
-    largest power of the same n already computed."""
+    largest power of the same n already computed and storing each step."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 0:
@@ -133,7 +134,6 @@ def kron_power_nm1(n: int, k: int) -> SchurSum:
     else:
         done, f = 0, SchurSum.schur((n,))
     op = build_operator((1,))
-    for _ in range(k - done):
-        f = apply(op, f)
-    _powers[n, k] = f
+    for step in range(done + 1, k + 1):
+        f = _powers[n, step] = apply(op, f)
     return f

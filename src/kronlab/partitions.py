@@ -23,10 +23,12 @@ CornerSet = namedtuple("CornerSet", ("corners", "first_corner"))
 
 def is_partition(parts) -> bool:
     """True if ``parts`` is a weakly decreasing sequence of positive ints."""
-    parts = tuple(parts)
-    if any(not isinstance(p, int) or p < 1 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    prev = None
+    for p in parts:
+        if not isinstance(p, int) or p < 1 or (prev is not None and p > prev):
+            return False
+        prev = p
+    return True
 
 
 def check_partition(parts) -> Partition:

@@ -5,7 +5,7 @@ import pytest
 
 from kronlab.characters import (
     _inner,
-    _strips,
+    _strip_moves,
     character_table,
     character_value,
     h_kron_oracle,
@@ -248,6 +248,15 @@ def test_character_value_of_a_long_cycle_type():
 
 def test_character_value_leaves_the_strip_memo_alone():
     # a single value meets each (shape, r) once, so it keeps no strips
-    before = _strips.cache_info().currsize
+    before = _strip_moves.cache_info().currsize
     assert character_value((12, 9, 6, 3), (3,) * 10) == mn_character((12, 9, 6, 3), (3,) * 10)
-    assert _strips.cache_info().currsize == before
+    assert _strip_moves.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_dense_table_matches_single_values(n):
+    rng = random.Random(1600 + n)
+    table = character_table(n)
+    for _ in range(30):
+        lam, mu = rng.choice(partitions_of(n)), rng.choice(partitions_of(n))
+        assert table.value(lam, mu) == character_value(lam, mu), (lam, mu)

@@ -60,6 +60,37 @@ def test_partitions_are_valid_and_sorted(subtests=None):
         assert list(ps) == canonical_sort(ps)
 
 
+@pytest.mark.parametrize(
+    "parts, expected",
+    [
+        ((), True),
+        ([], True),
+        ((1,), True),
+        ((3, 3, 1), True),
+        ([5, 2, 2, 1], True),
+        (iter((4, 1)), True),
+        ((10**30, 1), True),
+        ((True,), True),  # bool counts as an int, True as 1
+        ((2, True), True),
+        ((False,), False),
+        ((0,), False),
+        ((3, 0), False),
+        ((2, -1), False),
+        ((-1,), False),
+        ((2.0,), False),
+        ((2, 1.0), False),
+        (("2",), False),
+        ("21", False),
+        ((None,), False),
+        ((1, 2), False),
+        ((3, 1, 2), False),
+        ((1, True, 2), False),
+    ],
+)
+def test_is_partition_edge_cases(parts, expected):
+    assert is_partition(parts) is expected
+
+
 def test_corners_4421():
     cs = corners((4, 4, 2, 1))
     assert cs.corners == ((4, 1), (3, 2), (2, 4))

@@ -94,15 +94,51 @@ def test_listing_leaves_the_walk_memo_as_it_was():
     assert len(listed) == count_kronecker_tableaux((6,), (4, 2), 7)
 
 
-def test_verify_applies_the_operator_once_per_power(monkeypatch, capsys):
-    applied = []
+@pytest.fixture
+def applied(monkeypatch):
+    """The degree of every Schur sum the operator is applied to, from empty
+    memos on."""
+    degrees = []
 
     def counting_apply(op, f):
-        applied.append(f.degree)
+        degrees.append(f.degree)
         return apply(op, f)
 
     clear_memos()
     monkeypatch.setattr(kron_ops, "apply", counting_apply)
+    return degrees
+
+
+def test_descending_sweep_applies_the_operator_once_per_step(applied):
+    for k in range(8, -1, -1):
+        kron_power_nm1(7, k)
+    # k = 8 stores every step on the way, so the smaller k apply nothing
+    assert len(applied) == 8
+
+
+def test_descending_walk_counts_take_each_step_once(monkeypatch):
+    steps = []
+    step = tableaux._step
+
+    def counting_step(vec):
+        steps.append(len(vec))
+        return step(vec)
+
+    clear_memos()
+    monkeypatch.setattr(tableaux, "_step", counting_step)
+    for k in range(8, -1, -1):
+        walk_counts((7,), k)
+    assert len(steps) == 8
+
+
+def test_a_long_count_keeps_the_short_steps_and_its_own_length():
+    clear_memos()
+    count_kronecker_tableaux((5,), (4, 1), 100)
+    keep = tableaux._KEEP_EVERY_STEP
+    assert sorted(k for _, k in tableaux._endpoints) == [*range(1, keep + 1), 100]
+
+
+def test_verify_applies_the_operator_once_per_power(applied, capsys):
     assert cli.main(["verify", "--n", "6", "--k", "6"]) == 0
     capsys.readouterr()
     # n = 2..6, each carried from k - 1 to k for k = 1..6
