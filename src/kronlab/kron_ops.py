@@ -24,8 +24,9 @@ therefore symmetric by construction: a relation check on the operator
 calls ``apply(build_operator(.))`` at a fixed orientation.
 
 ``apply`` is one call to the summed composite
-``symfunc.skew_then_multiply``, which shares the skews and products of
-terms with a common prefix of nu's.
+``symfunc.skew_then_multiply``, which collects the operator into one sum
+of s_a s_b^perp, memoised per operator, and skews by each b and
+multiplies by each s_a once.
 
 Powers of the (n-1,1) irreducible are memoised in ``_powers`` per
 ``(n, k)``, every step on the way included, and carried forward from the

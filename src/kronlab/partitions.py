@@ -60,19 +60,26 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(partitions_inside((n,) * n, n))
 
 
-def partitions_inside(lam: Partition, d: int) -> Iterator[Partition]:
-    """The partitions of d <= |lam| contained in lam, in reverse
-    lexicographic order.  They are built row by row with
-    alpha_i <= min(alpha_(i-1), lam_i), and a row takes a part only if the
-    rows of lam after it, holding at most that part each, can still take
-    the rest."""
+def partitions_inside(lam: Partition, d: int, floor: Partition = ()) -> Iterator[Partition]:
+    """The partitions of d <= |lam| contained in lam and containing
+    ``floor`` (itself inside lam), in reverse lexicographic order.  They
+    are built row by row with floor_i <= alpha_i <= min(alpha_(i-1), lam_i),
+    and a row takes a part only if the rows after it can still take the
+    rest: at least what the floor asks of them, and at most that part
+    each in the rows of lam."""
     last = len(lam) - 1
+    need = [0] * (len(lam) + 1)  # need[i]: cells the floor asks of rows i, i+1, ...
+    for i in range(len(floor) - 1, -1, -1):
+        need[i] = need[i + 1] + floor[i]
+    if need[0] > d:
+        return iter(())
 
     def rows(i: int, left: int, cap: int, alpha: Partition) -> Iterator[Partition]:
         if not left:
             yield alpha
             return
-        for part in range(min(left, cap, lam[i]), 0, -1):
+        low = floor[i] if i < len(floor) else 1
+        for part in range(min(left - need[i + 1], cap, lam[i]), low - 1, -1):
             if left - part > part * (last - i):
                 return  # a smaller part leaves more for rows that hold less
             yield from rows(i + 1, left - part, part, alpha + (part,))

@@ -15,16 +15,25 @@ product pairs, so they are memoised once for all pairs, as tuples; each
 shape and row-count tuple they store is the one object held for it in
 ``_shared``, and those shapes are also the keys of the product memo.
 ``lr_coefficient`` reads its coefficient from that per-pair memo, and a
-skew s_lam/gamma is expanded from those coefficients, over the shapes
-inside lam only (``partitions.partitions_inside``), once per pair
-(lam, gamma) and memoised.  The memoised dicts are shared, so callers
-only read them.  ``skew_then_multiply`` is
-the one composite behind the operator route and ``h_inner_s``: it sums a
-list of (coefficient, nu-tuple) terms, computing the skew by each shared
-prefix of nu's once and multiplying by each s_nu once per shared prefix.  It works on term
-dicts through the two private helpers that ``perp`` and ``multiply`` are
-built on, ``_skew`` and ``_add_products``, and checks the weight of every
-intermediate sum as a ``SchurSum``.
+skew s_lam/gamma is expanded from those coefficients once per pair
+(lam, gamma) and memoised.  It runs over the shapes alpha inside lam
+with alpha_i >= lam_(i+len(gamma)) only (``partitions.partitions_inside``
+with a floor): an LR filling of lam/alpha with content gamma has at most
+len(gamma) cells in a column.  The memoised dicts are shared, so callers
+only read them.
+
+``skew_then_multiply`` is the one composite behind the operator route
+and ``h_inner_s``.  It takes a list of (coefficient, nu-tuple) terms,
+each the map f -> (multiply by every s_nu)(skew by every s_nu)(f), and
+collects them before applying them.  Each term's product P_t = prod s_nu
+is expanded once, tuples with a common prefix sharing its partial
+product.  The sum is then sum_{a,b} m[b][a] s_a s_b^perp, with
+m[b][a] = sum_t coeff_t P_t[a] P_t[b]: f is skewed once by each b, the
+skews are gathered per a, and each gathered sum is multiplied by s_a
+once.  Row m[b] is built only when the skew by b leaves something, and
+memoised per term tuple.  It works on term dicts through the two private
+helpers that ``perp`` and ``multiply`` are built on, ``_skew`` and
+``_add_products``.
 """
 
 from __future__ import annotations
@@ -259,7 +268,10 @@ def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
     if not contains(lam, gamma):
         return {}
     out = {}
-    for alpha in partitions_inside(lam, weight(lam) - weight(gamma)):
+    # an LR filling of lam/alpha with content gamma puts at most len(gamma)
+    # cells in a column, so alpha_i >= lam_(i+len(gamma)) (Macdonald I.9)
+    floor = lam[len(gamma):]
+    for alpha in partitions_inside(lam, weight(lam) - weight(gamma), floor):
         lr = lr_coefficient(gamma, alpha, lam)
         if lr:
             out[alpha] = lr
@@ -336,39 +348,87 @@ def skew_then_multiply(
     """Sum over (coeff, nus) of coeff times the composite (multiply by
     every s_nu) after (skew by every s_nu), applied to f.
 
-    The skews commute, and so do the products, so each term depends only
-    on the multiset of its nu's; the tuples are sorted alike and then
-    share their prefixes.
+    Applied collected (``_Collected``): f is skewed once by each b that
+    leaves something, the skews are gathered per a, and each gathered sum
+    is multiplied by s_a once.  The identity term is added directly.
     """
-    return _shared_prefixes(
-        [(coeff, tuple(sorted(nus, reverse=True))) for coeff, nus in terms], f
-    )
-
-
-def _shared_prefixes(
-    terms: list[tuple[int, tuple[Partition, ...]]], g: SchurSum
-) -> SchurSum:
-    """skew_then_multiply on tuples grouped by their first nu: each
-    group's skew by that nu is computed once, a vanishing skew drops the
-    group, and the product by s_nu is applied once to the group's sum,
-    with s_nu as the first factor, as in ``multiply(SchurSum.schur(nu), .)``."""
-    result: dict[Partition, int] = {}
-    groups: dict[Partition, list[tuple[int, tuple[Partition, ...]]]] = {}
-    for coeff, nus in terms:
-        if nus:
-            groups.setdefault(nus[0], []).append((coeff, nus[1:]))
-            continue
-        for p, c in g.terms.items():
-            result[p] = result.get(p, 0) + coeff * c
-    for nu, rest in groups.items():
-        nu = check_partition(nu)
-        size = weight(nu)
-        skewed = SchurSum(g.degree - size, _skew(nu, g.terms))
+    op = _collected(terms if isinstance(terms, tuple) else tuple(terms))
+    result = {p: op.identity * c for p, c in f.terms.items()} if op.identity else {}
+    gathered: dict[Partition, dict[Partition, int]] = {}
+    for b in op.columns:
+        if weight(b) > f.degree:
+            break
+        skewed = _skew(b, f.terms)
         if not skewed:
             continue
-        below = _shared_prefixes(rest, skewed)
-        _add_products(result, {nu: 1}, size, below.terms, below.degree)
-    return SchurSum(g.degree, result)
+        for a, c in op.row(b).items():
+            g = gathered.setdefault(a, {})
+            for p, v in skewed.items():
+                g[p] = g.get(p, 0) + c * v
+    for a, g in gathered.items():
+        size = weight(a)
+        _add_products(result, {a: 1}, size, g, f.degree - size)
+    return SchurSum(f.degree, result)
+
+
+class _Collected:
+    """A signed sum of composites, collected as sum_{a,b} m[b][a] s_a s_b^perp
+    (see the module docstring).
+
+    ``identity`` is m[()][()], the coefficient of the term with no nu.
+    ``columns`` lists every other b with some P_t[b] != 0, lightest first.
+    ``row(b)`` builds row m[b] when first asked for and memoises it; m is
+    block diagonal by weight and symmetric.
+    """
+
+    __slots__ = ("identity", "columns", "_by_weight", "_rows")
+
+    def __init__(self, terms: tuple[tuple[int, tuple[Partition, ...]], ...]):
+        merged: dict[tuple[Partition, ...], int] = {}
+        for coeff, nus in terms:
+            key = tuple(sorted(map(check_partition, nus), reverse=True))
+            merged[key] = merged.get(key, 0) + coeff
+        self.identity = merged.pop((), 0)
+        self._by_weight: dict[int, list[tuple[int, dict[Partition, int]]]] = {}
+        self._rows: dict[Partition, dict[Partition, int]] = {}
+        columns: set[Partition] = set()
+        # path[i]: (nu, weight, product) after the first i+1 nu's of the last key
+        path: list[tuple[Partition, int, dict[Partition, int]]] = []
+        for key in sorted(merged):
+            if not merged[key]:
+                continue
+            shared = 0
+            while shared < min(len(path), len(key)) and path[shared][0] == key[shared]:
+                shared += 1
+            del path[shared:]
+            size, product = (path[-1][1], path[-1][2]) if path else (0, {(): 1})
+            for nu in key[shared:]:
+                grown: dict[Partition, int] = {}
+                _add_products(grown, product, size, {nu: 1}, weight(nu))
+                size, product = size + weight(nu), grown
+                path.append((nu, size, product))
+            self._by_weight.setdefault(size, []).append((merged[key], product))
+            columns.update(product)
+        self.columns = sorted(columns, key=weight)
+
+    def row(self, b: Partition) -> dict[Partition, int]:
+        """Row m[b]: {a: m[b][a]}, without zero entries."""
+        row = self._rows.get(b)
+        if row is None:
+            acc: dict[Partition, int] = {}
+            for coeff, product in self._by_weight[weight(b)]:
+                if pb := product.get(b):
+                    c = coeff * pb
+                    for a, pa in product.items():
+                        acc[a] = acc.get(a, 0) + c * pa
+            row = self._rows[b] = {a: c for a, c in acc.items() if c}
+        return row
+
+
+@cache
+def _collected(terms: tuple[tuple[int, tuple[Partition, ...]], ...]) -> _Collected:
+    """The collected form of a term tuple, memoised per tuple."""
+    return _Collected(terms)
 
 
 def h_inner_s(lam: Partition, mu: Partition) -> SchurSum:

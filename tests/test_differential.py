@@ -55,6 +55,20 @@ def test_kron_coefficient_agrees_across_routes(seed):
             assert by_operator.coefficient(alpha) == want, (lam, mu, alpha)
 
 
+def test_operator_agrees_with_characters_at_benchmark_sizes():
+    """Seeded products at the sizes of the kron_products benchmark: n in
+    10..12 and a tail of weight at most 7, plus the staircase square."""
+    rng = random.Random(1717)
+    pairs = [((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))]
+    while len(pairs) < 61:
+        n = rng.randint(10, 12)
+        lam = rng.choice([p for p in partitions_of(n) if n - p[0] <= 7])
+        pairs.append((lam, rng.choice(partitions_of(n))))
+    for lam, mu in pairs:
+        want = kron_product_via_characters(lam, mu)
+        assert kron_product_via_operator(lam, mu) == want, (lam, mu)
+
+
 def test_successors_match_oracle_steps():
     for n in range(10):
         for p in partitions_of(n):

@@ -53,6 +53,17 @@ def test_partitions_inside_match_filtered_partitions():
                 assert list(partitions_inside(lam, d)) == want, (lam, d)
 
 
+def test_floored_partitions_inside_match_filtered_partitions():
+    for w in range(0, 11):
+        for lam in partitions_listed(w):
+            for d in range(0, w + 1):
+                every = list(partitions_inside(lam, d))
+                for j in range(0, len(lam) + 1):
+                    floor = lam[j:]
+                    want = [alpha for alpha in every if contains(alpha, floor)]
+                    assert list(partitions_inside(lam, d, floor)) == want, (lam, d, floor)
+
+
 def test_partitions_are_valid_and_sorted(subtests=None):
     for n in range(0, 9):
         ps = partitions_of(n)

@@ -168,11 +168,11 @@ def composite_per_tuple(terms, f):
 
 def test_summed_composite_matches_per_tuple_reference():
     rng = random.Random(20261018)
-    for size in range(0, 5):
+    for size in range(0, 8):
         for lambda_bar in partitions_of(size):
             terms = build_operator(lambda_bar).terms
             for _ in range(3):
-                n = rng.randint(0, 9)
+                n = rng.randint(0, 10)
                 f = SchurSum.schur(rng.choice(partitions_of(n)))
                 assert skew_then_multiply(terms, f) == composite_per_tuple(terms, f), (
                     lambda_bar,
@@ -189,12 +189,12 @@ def test_summed_composite_matches_per_tuple_reference_on_signed_sums():
     ]
     for f in cancelling:
         assert perp((1,), f) == SchurSum.zero(f.degree - 1)
-    for size in range(0, 6):
+    for size in range(0, 8):
         for lambda_bar in partitions_of(size):
             terms = build_operator(lambda_bar).terms
             sums = list(cancelling)
             for _ in range(2):
-                n = rng.randint(2, 9)
+                n = rng.randint(2, 10)
                 shapes = rng.sample(partitions_of(n), rng.randint(2, min(4, len(partitions_of(n)))))
                 sums.append(SchurSum(n, {p: rng.choice([-3, -2, -1, 1, 2, 3]) for p in shapes}))
             for f in sums:
@@ -204,6 +204,47 @@ def test_summed_composite_matches_per_tuple_reference_on_signed_sums():
                 )
 
 
+def test_collected_rows_are_symmetric_without_zeros():
+    one = symfunc._collected(build_operator((1,)).terms)
+    # s_1 s_1^perp - 1: m[(1)][(1)] = 1, and m[()][()] = -1 is the identity
+    assert one.identity == -1 and one.columns == [(1,)]
+    assert one.row((1,)) == {(1,): 1}
+    for size in range(0, 6):
+        for lambda_bar in partitions_of(size):
+            op = symfunc._collected(build_operator(lambda_bar).terms)
+            assert () not in op.columns
+            rows = {b: op.row(b) for b in op.columns}
+            for b, row in rows.items():
+                assert all(row.values()), (lambda_bar, b)
+                for a, c in row.items():
+                    assert weight(a) == weight(b) and rows[a][b] == c, (lambda_bar, a, b)
+
+
+def test_rows_are_built_only_for_shapes_the_skew_keeps(monkeypatch):
+    """Tail (3,2,1) applied to s_(4,4) asks for no row m[b] with b outside
+    (4,4), also when such rows are already memoised."""
+    clear_memos()
+    terms = build_operator((3, 2, 1)).terms
+    asked = []
+    row = symfunc._Collected.row
+
+    def spy(self, b):
+        asked.append(b)
+        return row(self, b)
+
+    monkeypatch.setattr(symfunc._Collected, "row", spy)
+    f = SchurSum.schur((4, 4))
+    assert skew_then_multiply(terms, f) == composite_per_tuple(terms, f)
+    assert asked and all(contains((4, 4), b) for b in asked)
+    assert all(contains((4, 4), b) for b in symfunc._collected(terms)._rows)
+    # memoise rows for (3,2,1), (2,2,2) and more, none of them inside (4,4)
+    skew_then_multiply(terms, SchurSum.schur((4, 2, 2)))
+    assert not all(contains((4, 4), b) for b in symfunc._collected(terms)._rows)
+    asked.clear()
+    assert skew_then_multiply(terms, f) == composite_per_tuple(terms, f)
+    assert asked and all(contains((4, 4), b) for b in asked)
+
+
 def test_staircase_work_is_pinned(strip_values):
     """The operator route on the staircase (5,4,3,2,1) meets each strip
     key and each product pair once, and the strip memo stores one object
@@ -211,8 +252,9 @@ def test_staircase_work_is_pinned(strip_values):
     clear_memos()
     kron_product_via_operator((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
     strips = _lattice_strips.cache_info()
-    assert strips.misses <= 9565 and strips.hits > 0
-    assert _schur_product_terms.cache_info().misses <= 2477
+    assert strips.misses <= 7714 and strips.hits > 0
+    assert _schur_product_terms.cache_info().misses <= 1366
+    assert lr_coefficient.cache_info().misses <= 657
     for part in (0, 1):
         stored = [pair[part] for value in strip_values for pair in value]
         assert len({id(x) for x in stored}) == len(set(stored))
