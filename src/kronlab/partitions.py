@@ -67,24 +67,29 @@ def partitions_inside(lam: Partition, d: int, floor: Partition = ()) -> Iterator
     and a row takes a part only if the rows after it can still take the
     rest: at least what the floor asks of them, and at most that part
     each in the rows of lam."""
-    last = len(lam) - 1
     need = [0] * (len(lam) + 1)  # need[i]: cells the floor asks of rows i, i+1, ...
     for i in range(len(floor) - 1, -1, -1):
         need[i] = need[i + 1] + floor[i]
     if need[0] > d:
         return iter(())
+    return _rows(lam, floor, need, 0, d, d, ())
 
-    def rows(i: int, left: int, cap: int, alpha: Partition) -> Iterator[Partition]:
-        if not left:
-            yield alpha
-            return
-        low = floor[i] if i < len(floor) else 1
-        for part in range(min(left - need[i + 1], cap, lam[i]), low - 1, -1):
-            if left - part > part * (last - i):
-                return  # a smaller part leaves more for rows that hold less
-            yield from rows(i + 1, left - part, part, alpha + (part,))
 
-    return rows(0, d, d, ())
+def _rows(
+    lam: Partition, floor: Partition, need: list[int], i: int, left: int, cap: int, alpha: Partition
+) -> Iterator[Partition]:
+    """The ``partitions_inside`` that extend alpha by rows i, i+1, ... with
+    ``left`` cells, no part above cap.  A module-level generator, so a call
+    leaves no self-referring closure behind."""
+    if not left:
+        yield alpha
+        return
+    low = floor[i] if i < len(floor) else 1
+    below = len(lam) - 1 - i  # rows of lam after row i
+    for part in range(min(left - need[i + 1], cap, lam[i]), low - 1, -1):
+        if left - part > part * below:
+            return  # a smaller part leaves more for rows that hold less
+        yield from _rows(lam, floor, need, i + 1, left - part, part, alpha + (part,))
 
 
 def bijection_regime_ok(n: int, k: int, lam: Partition) -> bool:

@@ -232,6 +232,7 @@ def _lattice_strips(
         grown[r] = below[r]
 
     place(0, size, size if last is None else 0)
+    del place  # it refers to itself: break the cycle so no garbage is left
     return tuple(out)
 
 
@@ -329,6 +330,7 @@ def h_determinant(matrix: list[list[int]]) -> dict[Partition, int]:
             expand(row + 1, used | bit, sign * parity, indices + ([r] if r else []))
 
     expand(0, 0, 1, [])
+    del expand  # it refers to itself: break the cycle so no garbage is left
     return {p: c for p, c in acc.items() if c}
 
 

@@ -1,8 +1,10 @@
 import random
+import sys
 from math import factorial
 
 import pytest
 
+from kronlab import characters
 from kronlab.characters import (
     _inner,
     _strip_moves,
@@ -16,6 +18,7 @@ from kronlab.characters import (
 )
 from kronlab.partitions import class_size, partitions_of, standard_tableaux_count
 from kronlab.symfunc import SchurSum, h_inner_s
+from kronlab.tableaux import walk_counts
 
 from oracles import fixed_set_compositions, frobenius_character, mn_character
 
@@ -160,6 +163,47 @@ def test_kron_power_oracle_is_iterated_product():
             assert kron_power_oracle(n, k) == acc
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_kron_power_oracle_matches_walk_counts(n):
+    for k in range(13):
+        assert kron_power_oracle(n, k) == walk_counts((n,), k), (n, k)
+
+
+def test_kron_power_oracle_at_a_large_power():
+    assert kron_power_oracle(9, 40) == walk_counts((9,), 40)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_power_sums_group_the_table_by_the_value_of_the_standard_row(n):
+    table = character_table(n)
+    standard = table.values[table.partitions.index((n - 1, 1))]
+    values, sums = characters._power_sums(n)
+    assert values == tuple(sorted(set(standard)))
+    assert len(sums) == len(table.partitions)
+    for row, w in zip(table.values, sums):
+        by_value = dict.fromkeys(values, 0)
+        for gamma, chi, v in zip(table.partitions, row, standard):
+            by_value[v] += class_size(gamma) * chi
+        assert w == tuple(by_value.values())
+
+
+def test_a_k_sweep_builds_the_power_sums_once():
+    characters._power_sums.cache_clear()
+    for k in range(13):
+        kron_power_oracle(11, k)
+    assert characters._power_sums.cache_info().misses == 1
+
+
+def test_a_corrupted_power_sum_raises(monkeypatch):
+    values, sums = characters._power_sums(5)
+    # one more in W_(5)(4) adds 4**3 = 64 to the total for s_(5), which
+    # 5! = 120 does not divide
+    corrupted = ((*sums[0][:-1], sums[0][-1] + 1), *sums[1:])
+    monkeypatch.setattr(characters, "_power_sums", lambda n: (values, corrupted))
+    with pytest.raises(ArithmeticError, match="non-integral multiplicity"):
+        kron_power_oracle(5, 3)
+
+
 def test_permutation_character_full_row():
     for n in range(1, 7):
         for gamma in partitions_of(n):
@@ -251,6 +295,38 @@ def test_character_value_leaves_the_strip_memo_alone():
     before = _strip_moves.cache_info().currsize
     assert character_value((12, 9, 6, 3), (3,) * 10) == mn_character((12, 9, 6, 3), (3,) * 10)
     assert _strip_moves.cache_info().currsize == before
+
+
+def test_a_table_builds_only_the_columns_of_its_suffixes():
+    characters._columns.cache_clear()
+    characters._column.cache_clear()
+    characters._columns(12)
+    suffixes = {mu[i:] for mu in partitions_of(12) for i in range(len(mu) + 1)}
+    assert characters._column.cache_info().currsize == len(suffixes) < sum(
+        len(partitions_of(w)) for w in range(13)
+    )
+
+
+def _frames_left(depth=0):
+    """How many more nested Python calls fit under the recursion limit."""
+    try:
+        return _frames_left(depth + 1)
+    except RecursionError:
+        return depth
+
+
+def test_a_long_class_is_built_with_a_shallow_recursion():
+    # the suffixes of (1^22) are built shortest first, not 22 calls deep
+    for m in range(23):
+        partitions_of(m)  # the partition generator recurses on its own
+    characters._column.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - _frames_left() + 30)
+    try:
+        column = characters._column((1,) * 22)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert column == [standard_tableaux_count(lam) for lam in partitions_of(22)]
 
 
 @pytest.mark.parametrize("n", range(13, 17))
