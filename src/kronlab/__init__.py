@@ -19,7 +19,6 @@ from .partitions import (
 )
 from .symfunc import (
     SchurSum,
-    h_inner_s,
     h_to_schur,
     lr_coefficient,
     multiply,
@@ -32,11 +31,9 @@ from .characters import (
     CharacterTable,
     character_table,
     character_value,
-    h_kron_oracle,
     kron_coefficient,
     kron_power_oracle,
     kron_product_via_characters,
-    permutation_character,
 )
 from .kron_ops import (
     KroneckerOperator,

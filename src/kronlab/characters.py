@@ -41,7 +41,6 @@ irreducible.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from functools import cache
 from math import factorial, prod
@@ -81,16 +80,6 @@ def _strips(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     return out
 
 
-def _add_strips(states: dict[Partition, int], r: int) -> dict[Partition, int]:
-    """The Schur expansion times p_r: every strip of size r added to every
-    shape."""
-    out: dict[Partition, int] = {}
-    for shape, coeff in states.items():
-        for lam, sign in _strips(shape, r):
-            out[lam] = out.get(lam, 0) + sign * coeff
-    return {lam: v for lam, v in out.items() if v}
-
-
 @cache
 def _index(n: int) -> dict[Partition, int]:
     """Position of each partition of n in ``partitions_of(n)``."""
@@ -128,17 +117,11 @@ def _column(mu: Partition) -> list[int]:
 
 
 @cache
-def _columns(n: int) -> tuple[list[int], ...]:
-    """Column mu of the character table for every mu of weight n, by index.
-    Shared, so callers only read it."""
-    return tuple(_column(mu) for mu in partitions_of(n))
-
-
-@cache
 def _table(n: int) -> dict[Partition, tuple[int, ...]]:
     """Every irreducible of weight n as its row of values over the
     partitions of n.  Shared, so callers only read it."""
-    return dict(zip(partitions_of(n), zip(*_columns(n))))
+    ps = partitions_of(n)
+    return dict(zip(ps, zip(*map(_column, ps))))
 
 
 def _chi(lam: Partition) -> tuple[int, ...]:
@@ -157,8 +140,11 @@ def character_value(lam: Partition, mu: Partition) -> int:
     _, (lam, mu) = check_same_weight(lam, mu)
     states = {(): 1}
     for r in mu:
-        states = _add_strips(states, r)
-        states = {s: v for s, v in states.items() if contains(lam, s)}
+        grown: dict[Partition, int] = {}
+        for shape, coeff in states.items():
+            for s, sign in _strips(shape, r):
+                grown[s] = grown.get(s, 0) + sign * coeff
+        states = {s: v for s, v in grown.items() if v and contains(lam, s)}
     return states.get(lam, 0)
 
 
@@ -199,14 +185,6 @@ def _expand(n: int, weights: list[int], rows: Iterable[tuple[int, ...]]) -> Schu
     return SchurSum(n, terms)
 
 
-def _project_onto_schur(n: int, *rows: tuple[int, ...]) -> SchurSum:
-    """Expand the product of class functions, given as rows, over irreducibles.
-
-    The class-size-weighted product is formed once; each irreducible then
-    costs one dot product with its row of the table."""
-    return _expand(n, _weighted(n, *rows), _table(n).values())
-
-
 @cache
 def _power_sums(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The distinct values v of the table's row of (n-1,1), ascending, and
@@ -219,7 +197,7 @@ def _power_sums(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     group's class sizes each.  A single k costs more this way than one
     projection (about 1.3 times at n = 14 to 16), but every further k at
     the same n is one short dot product per alpha."""
-    columns, sizes = _columns(n), _class_sizes(n)
+    columns, sizes = [_column(mu) for mu in partitions_of(n)], _class_sizes(n)
     at = _index(n)[(n - 1, 1)]
     classes: dict[int, list[int]] = {}
     for j, column in enumerate(columns):
@@ -282,9 +260,12 @@ def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:
 
 
 def kron_product_via_characters(lam: Partition, mu: Partition) -> SchurSum:
-    """Schur expansion of the product character, via pointwise values."""
+    """Schur expansion of the product character, via pointwise values.
+
+    The class-size-weighted product is formed once; each irreducible then
+    costs one dot product with its row of the table."""
     n, (lam, mu) = check_same_weight(lam, mu)
-    return _project_onto_schur(n, _chi(lam), _chi(mu))
+    return _expand(n, _weighted(n, _chi(lam), _chi(mu)), _table(n).values())
 
 
 def kron_power_oracle(n: int, k: int) -> SchurSum:
@@ -295,45 +276,3 @@ def kron_power_oracle(n: int, k: int) -> SchurSum:
         raise ValueError("k must be nonnegative")
     values, sums = _power_sums(n)
     return _expand(n, [v**k for v in values], sums)
-
-
-@cache
-def permutation_character(lam: Partition, gamma: Partition) -> int:
-    """Value at class gamma of the permutation character induced from the
-    Young subgroup of type lam: the number of ways to distribute the
-    cycles of a type-gamma permutation over the parts of lam so that each
-    part is filled exactly.
-
-    The cycles are placed one at a time into the room left in the parts.
-    A state is the sorted tuple of the rooms not yet full, weighted by the
-    number of placements reaching it; a cycle of length c goes into any
-    part with room r >= c, and the parts sharing a room lead to one state.
-    """
-    if weight(lam) != weight(gamma):
-        return 0
-    states = {tuple(sorted(lam)): 1}
-    for c in gamma:
-        nxt: dict[tuple[int, ...], int] = {}
-        for rooms, ways in states.items():
-            i = bisect_left(rooms, c)
-            while i < len(rooms):
-                r, end = rooms[i], bisect_right(rooms, rooms[i])
-                rest = rooms[:i] + rooms[i + 1 :]
-                if r > c:
-                    j = bisect_left(rest, r - c)
-                    rest = rest[:j] + (r - c,) + rest[j:]
-                nxt[rest] = nxt.get(rest, 0) + ways * (end - i)
-                i = end
-        states = nxt
-    return states.get((), 0)
-
-
-def h_kron_oracle(lam: Partition, mu: Partition) -> SchurSum:
-    """Character-side expansion of h_lam (.) s_mu.
-
-    Uses the permutation character in place of an irreducible one in the
-    orthonormality projection; independent of the Schur-operator route.
-    """
-    n, (lam, mu) = check_same_weight(lam, mu)
-    perm = tuple(permutation_character(lam, gamma) for gamma in partitions_of(n))
-    return _project_onto_schur(n, perm, _chi(mu))

@@ -23,7 +23,7 @@ len(gamma) cells in a column.  The memoised dicts are shared, so callers
 only read them.
 
 ``skew_then_multiply`` is the one composite behind the operator route
-and ``h_inner_s``.  It takes a list of (coefficient, nu-tuple) terms,
+(``kron_ops.apply``).  It takes a list of (coefficient, nu-tuple) terms,
 each the map f -> (multiply by every s_nu)(skew by every s_nu)(f), and
 collects them before applying them.  Each term's product P_t = prod s_nu
 is expanded once, tuples with a common prefix sharing its partial
@@ -40,16 +40,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import product as iproduct
 
 from .partitions import (
     Partition,
     canonical_sort,
     check_partition,
-    check_same_weight,
     contains,
     partitions_inside,
-    partitions_of,
     weight,
 )
 
@@ -431,17 +428,6 @@ class _Collected:
 def _collected(terms: tuple[tuple[int, tuple[Partition, ...]], ...]) -> _Collected:
     """The collected form of a term tuple, memoised per tuple."""
     return _Collected(terms)
-
-
-def h_inner_s(lam: Partition, mu: Partition) -> SchurSum:
-    """Kronecker-side product h_lam (.) s_mu expanded over Schur terms.
-
-    Sums, over one partition nu of every part of lam except the largest,
-    the skew-then-multiply composite applied to s_mu.
-    """
-    _, (lam, mu) = check_same_weight(lam, mu)
-    nu_tuples = iproduct(*(partitions_of(part) for part in lam[1:]))
-    return skew_then_multiply(((1, nus) for nus in nu_tuples), SchurSum.schur(mu))
 
 
 def schur_sum_to_json(f: SchurSum) -> dict:

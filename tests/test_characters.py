@@ -1,6 +1,8 @@
 import random
 import sys
+from itertools import product
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -10,14 +12,12 @@ from kronlab.characters import (
     _strip_moves,
     character_table,
     character_value,
-    h_kron_oracle,
     kron_coefficient,
     kron_power_oracle,
     kron_product_via_characters,
-    permutation_character,
 )
 from kronlab.partitions import class_size, partitions_of, standard_tableaux_count
-from kronlab.symfunc import SchurSum, h_inner_s
+from kronlab.symfunc import SchurSum, h_to_schur, skew_then_multiply
 from kronlab.tableaux import walk_counts
 
 from oracles import fixed_set_compositions, frobenius_character, mn_character
@@ -82,7 +82,6 @@ def test_character_weight_mismatch_rejected():
         (kron_coefficient, ((2, 1), (2, 1), (2,))),
         (kron_coefficient, ((2,), (2, 1), (2, 1))),
         (kron_product_via_characters, ((2, 1), (2,))),
-        (h_kron_oracle, ((3,), (2, 1, 1))),
     ],
 )
 def test_routes_reject_unequal_weights(route, args):
@@ -204,6 +203,41 @@ def test_a_corrupted_power_sum_raises(monkeypatch):
         kron_power_oracle(5, 3)
 
 
+# The h-side cross-check: h_lam (.) s_mu, the permutation character of the
+# Young subgroup of type lam times chi^mu (Macdonald I.7), once by the
+# operator engine and once by characters.
+
+
+def h_inner_s(lam, mu):
+    """h_lam (.) s_mu by the composite of one nu |- part for every part of
+    lam except the largest, applied to s_mu."""
+    nu_tuples = product(*(partitions_of(part) for part in lam[1:]))
+    return skew_then_multiply(tuple((1, nus) for nus in nu_tuples), SchurSum.schur(mu))
+
+
+def h_kron_oracle(lam, mu):
+    """h_lam (.) s_mu by characters: the brute-force permutation character
+    times chi^mu, projected onto every irreducible."""
+    table = character_table(sum(mu))
+    chi_mu = table.values[table.partitions.index(mu)]
+    weighted = [
+        class_size(gamma) * fixed_set_compositions(lam, gamma) * value
+        for gamma, value in zip(table.partitions, chi_mu)
+    ]
+    terms = {}
+    for alpha, row in zip(table.partitions, table.values):
+        coeff, rem = divmod(sum(map(mul, weighted, row)), factorial(table.n))
+        assert not rem, (lam, mu, alpha)
+        terms[alpha] = coeff
+    return SchurSum(table.n, terms)
+
+
+def permutation_character(lam, gamma):
+    """The permutation character by Young's rule, sum_alpha K_(alpha lam)
+    chi^alpha(gamma), with the Kostka numbers read off h_lam."""
+    return sum(c * character_value(alpha, gamma) for alpha, c in h_to_schur(lam).terms.items())
+
+
 def test_permutation_character_full_row():
     for n in range(1, 7):
         for gamma in partitions_of(n):
@@ -223,12 +257,15 @@ def test_permutation_character_matches_fixed_set_compositions(n):
         for gamma in partitions_of(n):
             want = fixed_set_compositions(lam, gamma)
             assert permutation_character(lam, gamma) == want, (lam, gamma)
-    assert permutation_character((n + 1,), (1,) * n) == 0
 
 
-def test_permutation_character_of_a_long_identity_class():
-    # one cycle at a time, without recursion
-    assert permutation_character((1,) * 1500, (1,) * 1500) == factorial(1500)
+def test_h_inner_s_trivial_and_examples():
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            assert h_inner_s((n,), mu) == SchurSum.schur(mu)
+    assert h_inner_s((3, 1), (3, 1)) == SchurSum(
+        4, {(4,): 1, (3, 1): 2, (2, 2): 1, (2, 1, 1): 1}
+    )
 
 
 def test_h_kron_oracle_trivial():
@@ -298,9 +335,9 @@ def test_character_value_leaves_the_strip_memo_alone():
 
 
 def test_a_table_builds_only_the_columns_of_its_suffixes():
-    characters._columns.cache_clear()
+    characters._table.cache_clear()
     characters._column.cache_clear()
-    characters._columns(12)
+    characters._table(12)
     suffixes = {mu[i:] for mu in partitions_of(12) for i in range(len(mu) + 1)}
     assert characters._column.cache_info().currsize == len(suffixes) < sum(
         len(partitions_of(w)) for w in range(13)

@@ -16,7 +16,7 @@ from kronlab.kron_ops import (
     kron_power_nm1,
     kron_product_via_operator,
 )
-from kronlab.partitions import conjugate, partitions_of
+from kronlab.partitions import conjugate, partitions_of, standard_tableaux_count
 from kronlab.symfunc import SchurSum
 
 
@@ -137,6 +137,25 @@ def test_orientation_choice_on_seeded_pairs():
             assert got == kron_product_via_characters(lam, mu), (lam, mu)
             wins.add(win)
     assert wins == {0, 1, 2, 3}
+
+
+def test_operator_at_orientations_never_picked():
+    # seeded pairs at n = 8..12 whose lam is not the first longest first row
+    # of lam, mu, lam', mu', so kron_product_via_operator never builds the
+    # operator of lam[1:] for them
+    rng = random.Random(1919)
+    pairs = []
+    while len(pairs) < 200:
+        n = rng.randint(8, 12)
+        lam = rng.choice([p for p in partitions_of(n) if n - p[0] <= 6])
+        mu = rng.choice(partitions_of(n))
+        if max(mu[0], len(lam), len(mu)) > lam[0]:
+            pairs.append((lam, mu))
+    for lam, mu in pairs:
+        got = apply(build_operator(lam[1:]), SchurSum.schur(mu))
+        assert got == kron_product_via_characters(lam, mu), (lam, mu)
+        dims = sum(c * standard_tableaux_count(nu) for nu, c in got.terms.items())
+        assert dims == standard_tableaux_count(lam) * standard_tableaux_count(mu), (lam, mu)
 
 
 def test_coefficients_nonnegative_on_schur_inputs():

@@ -10,7 +10,6 @@ from kronlab.symfunc import (
     _lattice_strips,
     _schur_product_terms,
     h_determinant,
-    h_inner_s,
     h_to_schur,
     lr_coefficient,
     multiply,
@@ -338,20 +337,6 @@ def test_jacobi_trudi_inverts_h_expansion(n):
         for coeff, indices in jacobi_trudi(lam):
             total = total + h_to_schur(indices).scale(coeff)
         assert total == SchurSum.schur(lam), lam
-
-
-def test_h_inner_s_trivial_and_examples():
-    for n in range(1, 6):
-        for mu in partitions_of(n):
-            assert h_inner_s((n,), mu) == SchurSum.schur(mu)
-    assert h_inner_s((3, 1), (3, 1)) == SchurSum(
-        4, {(4,): 1, (3, 1): 2, (2, 2): 1, (2, 1, 1): 1}
-    )
-
-
-def test_h_inner_s_weight_mismatch_rejected():
-    with pytest.raises(ValueError):
-        h_inner_s((2, 1), (2,))
 
 
 def test_json_round_trip():
