@@ -23,16 +23,17 @@ conjugate pairs travel together, so no omega is needed.  The route is
 therefore symmetric by construction: a relation check on the operator
 calls ``apply(build_operator(.))`` at a fixed orientation.
 
-``apply`` is one call to the summed composite
-``symfunc.skew_then_multiply``, which collects the operator into one sum
-of s_a s_b^perp, memoised per operator, and skews by each b and
-multiplies by each s_a once.
+``build_operator`` merges the nu tuples that differ only in order
+(``normalize``, the one place terms merge).  ``apply`` is one call to the
+summed composite ``symfunc.skew_then_multiply``, which sums the terms as
+given into one sum of s_a s_b^perp, memoised per operator, and skews by
+each b and multiplies by each s_a once.
 
 Powers of the (n-1,1) irreducible are memoised in ``_powers`` per
-``(n, k)``, every step on the way included, and carried forward from the
-largest cached power below k, so any sweep over k <= K, in any order,
-costs K operator applications per n.  The stored sums are shared, so
-callers only read them.
+``(n, k)``, every step up to 64 and the k asked for, and carried forward
+from the largest cached power below k, so any sweep over k <= K <= 64, in
+any order, costs K operator applications per n.  The stored sums are
+shared, so callers only read them.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class KroneckerOperator(Record):
 
     Each term is (coefficient, nu_list); it acts linearly by skewing by
     every nu first, then multiplying by every nu.  An empty nu_list is
-    coefficient times the identity.
+    coefficient times the identity.  ``apply`` sums the terms as given.
     """
 
     __slots__ = ("terms",)  # tuple[tuple[int, tuple[Partition, ...]], ...]
@@ -80,7 +81,7 @@ def _term_key(nus: tuple[Partition, ...]):
 
 @cache
 def build_operator(lambda_bar: Partition) -> KroneckerOperator:
-    """Operator for the family of partitions whose tail is lambda_bar.
+    """Merged operator for the partitions whose tail is lambda_bar.
 
     The empty tail gives the identity (trivial factor leaves everything
     unchanged)."""
@@ -91,10 +92,10 @@ def build_operator(lambda_bar: Partition) -> KroneckerOperator:
         [part - i + j for j in range(m)] for i, part in enumerate(lambda_bar, 1)
     ]
     terms: list[tuple[int, tuple[Partition, ...]]] = []
-    for alpha, coeff in sorted(h_determinant(matrix).items(), reverse=True):
+    for alpha, coeff in h_determinant(matrix).items():
         for nus in iproduct(*(partitions_of(part) for part in alpha)):
             terms.append((coeff, nus))
-    return KroneckerOperator(tuple(terms))
+    return KroneckerOperator(tuple(terms)).normalize()
 
 
 def apply(op: KroneckerOperator, f: SchurSum) -> SchurSum:
@@ -119,12 +120,14 @@ def kron_product_via_operator(lam: Partition, mu: Partition) -> SchurSum:
 
 # (n, k) -> k-th power of the (n-1,1) irreducible; values are only read
 _powers: dict[tuple[int, int], SchurSum] = {}
+# past this step only the power asked for is kept: one high power, one sum
+_KEEP_EVERY_STEP = 64
 
 
 def kron_power_nm1(n: int, k: int) -> SchurSum:
     """k-th Kronecker power of the (n-1,1) irreducible, by iterating the
-    single-cell operator on the one-row Schur function, starting from the
-    largest power of the same n already computed and storing each step."""
+    single-cell operator on the one-row Schur function from the largest
+    power of the same n already computed, storing steps up to 64 and k."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 0:
@@ -136,5 +139,7 @@ def kron_power_nm1(n: int, k: int) -> SchurSum:
         done, f = 0, SchurSum.schur((n,))
     op = build_operator((1,))
     for step in range(done + 1, k + 1):
-        f = _powers[n, step] = apply(op, f)
+        f = apply(op, f)
+        if step <= _KEEP_EVERY_STEP or step == k:
+            _powers[n, step] = f
     return f

@@ -25,9 +25,9 @@ only read them.
 ``skew_then_multiply`` is the one composite behind the operator route
 (``kron_ops.apply``).  It takes a list of (coefficient, nu-tuple) terms,
 each the map f -> (multiply by every s_nu)(skew by every s_nu)(f), and
-collects them before applying them.  Each term's product P_t = prod s_nu
-is expanded once, tuples with a common prefix sharing its partial
-product.  The sum is then sum_{a,b} m[b][a] s_a s_b^perp, with
+collects them, as given, before applying them (``build_operator`` has
+merged its own).  Each term's product P_t = prod s_nu is expanded once.
+The sum is then sum_{a,b} m[b][a] s_a s_b^perp, with
 m[b][a] = sum_t coeff_t P_t[a] P_t[b]: f is skewed once by each b, the
 skews are gathered per a, and each gathered sum is multiplied by s_a
 once.  Row m[b] is built only when the skew by b leaves something, and
@@ -374,7 +374,8 @@ class _Collected:
     """A signed sum of composites, collected as sum_{a,b} m[b][a] s_a s_b^perp
     (see the module docstring).
 
-    ``identity`` is m[()][()], the coefficient of the term with no nu.
+    ``identity`` is m[()][()], summed over the terms with no nu; the other
+    terms are summed as given, unmerged.
     ``columns`` lists every other b with some P_t[b] != 0, lightest first.
     ``row(b)`` builds row m[b] when first asked for and memoises it; m is
     block diagonal by weight and symmetric.
@@ -383,30 +384,20 @@ class _Collected:
     __slots__ = ("identity", "columns", "_by_weight", "_rows")
 
     def __init__(self, terms: tuple[tuple[int, tuple[Partition, ...]], ...]):
-        merged: dict[tuple[Partition, ...], int] = {}
-        for coeff, nus in terms:
-            key = tuple(sorted(map(check_partition, nus), reverse=True))
-            merged[key] = merged.get(key, 0) + coeff
-        self.identity = merged.pop((), 0)
+        self.identity = 0
         self._by_weight: dict[int, list[tuple[int, dict[Partition, int]]]] = {}
         self._rows: dict[Partition, dict[Partition, int]] = {}
         columns: set[Partition] = set()
-        # path[i]: (nu, weight, product) after the first i+1 nu's of the last key
-        path: list[tuple[Partition, int, dict[Partition, int]]] = []
-        for key in sorted(merged):
-            if not merged[key]:
+        for coeff, nus in terms:
+            if not nus:
+                self.identity += coeff
                 continue
-            shared = 0
-            while shared < min(len(path), len(key)) and path[shared][0] == key[shared]:
-                shared += 1
-            del path[shared:]
-            size, product = (path[-1][1], path[-1][2]) if path else (0, {(): 1})
-            for nu in key[shared:]:
+            size, product = 0, {(): 1}
+            for nu in map(check_partition, nus):
                 grown: dict[Partition, int] = {}
                 _add_products(grown, product, size, {nu: 1}, weight(nu))
                 size, product = size + weight(nu), grown
-                path.append((nu, size, product))
-            self._by_weight.setdefault(size, []).append((merged[key], product))
+            self._by_weight.setdefault(size, []).append((coeff, product))
             columns.update(product)
         self.columns = sorted(columns, key=weight)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -172,6 +173,32 @@ def test_bijection_from_file(tmp_path, capsys):
     assert payload["rows"] == [[4, 10], [8, 12]]
     assert payload["cycles"] == [[4], [5, 3], [8, 6], [9, 2, 1], [10], [11, 7], [12]]
     assert payload["regime_ok"] is False
+
+
+def readme_commands():
+    """The argv of every ``kronlab`` line of README's CLI block and of every
+    ``python -m kronlab.cli`` line of its "Install and test" block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for heading, prefix in (("## Install and test", "kronlab.cli"), ("## CLI", "kronlab")):
+        block = readme.split(heading + "\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        for line in block.splitlines():
+            args = shlex.split(line, comments=True)
+            if prefix in args:
+                commands.append(args[args.index(prefix) + 1 :])
+    return commands
+
+
+def test_readme_cli_block_runs(tmp_path, capsys):
+    walks = tmp_path / "walks.txt"
+    walks.write_text("[6] [5,1] [5,1]*2:1 [4,2]\n")
+    commands = readme_commands()
+    assert len(commands) == 11 and ["bijection", "walks.txt"] in commands
+    for args in commands:
+        args = [str(walks) if a == "walks.txt" else a for a in args]
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, ""), args
+        assert out
 
 
 def test_bijection_from_stdin(capsys, monkeypatch):

@@ -124,6 +124,10 @@ def test_truncated_egf_arithmetic():
     assert (x * x)[2] == 1
     assert (e * e)[3] == Fraction(8, 6)  # e^{2x}
     assert x.exp() == e
+    # a sum stops at the lower of the two orders
+    assert x + TruncatedEGF.one(2) == TruncatedEGF([1, 1, 0])
+    assert repr(TruncatedEGF.x(2)) == "TruncatedEGF(0, 1, 0)"
+    assert e.__eq__(e.coeffs) is NotImplemented and e != e.coeffs
     with pytest.raises(ValueError):
         (one).exp()
 

@@ -21,19 +21,19 @@ from kronlab.symfunc import SchurSum
 
 
 def test_operator_single_cell():
-    got = build_operator((1,)).normalize()
+    got = build_operator((1,))
     assert got == KroneckerOperator(((-1, ()), (1, ((1,),))))
 
 
 def test_operator_two_cells_row():
-    got = build_operator((2,)).normalize()
+    got = build_operator((2,))
     assert got == KroneckerOperator(
         ((-1, ((1,),)), (1, ((1, 1),)), (1, ((2,),)))
     )
 
 
 def test_operator_empty_is_identity():
-    assert build_operator(()).normalize() == KroneckerOperator(((1, ()),))
+    assert build_operator(()) == KroneckerOperator(((1, ()),))
     f = SchurSum(3, {(2, 1): 4, (3,): -2})
     assert apply(build_operator(()), f) == f
 
@@ -199,6 +199,35 @@ def test_normalize_merges_duplicate_terms():
     assert norm == KroneckerOperator(((2, ()), (2, ((2,), (1, 1)))))
     f = SchurSum.schur((3, 2))
     assert apply(op, f) == apply(norm, f)
+
+
+@pytest.mark.parametrize("w", range(8))
+def test_built_operators_are_merged(w):
+    for tail in partitions_of(w):
+        assert build_operator(tail) == build_operator(tail).normalize(), tail
+
+
+def test_apply_sums_hand_built_terms_as_given():
+    # each built term split in two, one half with its nu's reversed, plus a
+    # cancelling pair and one more identity term, all shuffled: apply must
+    # add every term as given, identity terms included
+    rng = random.Random(2020)
+    for w in range(6):
+        for tail in partitions_of(w):
+            built = build_operator(tail)
+            terms = []
+            for coeff, nus in built.terms:
+                part = rng.randint(-3, 3)
+                terms += [(part, nus[::-1]), (coeff - part, nus)]
+            pair = rng.choice(built.terms)[1] or ((1,),)
+            extra = rng.randint(1, 3)
+            terms += [(extra, pair), (-extra, pair), (extra, ())]
+            rng.shuffle(terms)
+            op = KroneckerOperator(tuple(terms))
+            for _ in range(3):
+                f = SchurSum.schur(rng.choice(partitions_of(rng.randint(w, 9))))
+                want = apply(built, f) + f.scale(extra)
+                assert apply(op, f) == want, (tail, f)
 
 
 def test_readme_library_example():

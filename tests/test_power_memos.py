@@ -138,6 +138,18 @@ def test_a_long_count_keeps_the_short_steps_and_its_own_length():
     assert sorted(k for _, k in tableaux._endpoints) == [*range(1, keep + 1), 100]
 
 
+def test_a_high_power_keeps_the_low_steps_and_its_own():
+    clear_memos()
+    kron_power_nm1(5, 100)
+    keep = kron_ops._KEEP_EVERY_STEP
+    assert sorted(k for _, k in kron_ops._powers) == [*range(1, keep + 1), 100]
+    op = build_operator((1,))
+    fresh = SchurSum.schur((5,))
+    for _ in range(80):
+        fresh = apply(op, fresh)
+    assert kron_power_nm1(5, 80) == fresh
+
+
 def test_verify_applies_the_operator_once_per_power(applied, capsys):
     assert cli.main(["verify", "--n", "6", "--k", "6"]) == 0
     capsys.readouterr()

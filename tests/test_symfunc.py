@@ -362,6 +362,7 @@ def test_schur_sum_arithmetic():
     assert (f * g).degree == 5
     same = SchurSum(3, {(2, 1): -1, (3,): 2})
     assert same == f and hash(same) == hash(f)
+    assert f.__eq__(f.terms) is NotImplemented and f != f.terms
 
 
 def test_concurrent_lr_calls_match_serial():

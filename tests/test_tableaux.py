@@ -179,6 +179,7 @@ def test_strip_and_unstrip_long_walk():
         (2, 1), (2, 2), (2, 1), (2, 2),
     )
     assert walk.marks[1] == (1, 1)
+    assert walk.length == 12
     assert unstrip(walk, 6) == K
 
 
