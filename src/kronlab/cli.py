@@ -29,7 +29,7 @@ DEFAULT_LIST_LIMIT = 100000
 DEFAULT_MAX_WALK_K = 1000
 DEFAULT_MAX_FORMULA_N = 2500
 DEFAULT_MAX_FORMULA_K = 1000
-DEFAULT_MAX_EGF_ORDER = 100
+DEFAULT_MAX_EGF_ORDER = 200
 
 
 def _emit(payload: dict) -> None:
@@ -213,7 +213,7 @@ def cmd_egf(args) -> int:
         {
             "lambda_bar": list(lb),
             "order": args.order,
-            "coefficients": [str(c) for c in series.coeffs],
+            "coefficients": [str(series[k]) for k in range(args.order + 1)],
         }
     )
     return 0

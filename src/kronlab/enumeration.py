@@ -1,13 +1,13 @@
 """Closed-form walk counts, blocks-of-size-two-or-more Stirling numbers,
 and exact truncated exponential generating functions.
 
-Everything here is exact: counts are big integers, series coefficients
-are rationals, and the generating-function checks are equalities rather
-than tolerances.  Only ``partitions`` is imported, the formula's regime
-test included, so the route stays independent of the walks it checks.
-``fractions`` (with ``decimal`` and ``numbers`` behind it) is imported
-where a series is built, so that only a process that builds one pays for
-loading it.
+Everything here is exact integer arithmetic: a series is held as its
+counts a_k = k! c_k, products are binomial convolutions, and the walk
+series divides by ell! exactly, once per count.  The checks are
+equalities rather than tolerances.  Only ``partitions`` is imported, the
+formula's regime test included, so the route stays independent of the
+walks it checks.  ``fractions`` (with ``decimal`` and ``numbers`` behind
+it) is imported only where a coefficient a_k / k! is read.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import islice
 from math import comb, factorial
+from operator import add, index, sub
 
 from .partitions import (
     Partition,
@@ -84,63 +85,59 @@ def multiplicity_formula(n: int, k: int, lam: Partition) -> int:
     return standard_tableaux_count(lam[1:]) * _formula_sum(k, ell)
 
 
-class TruncatedEGF:
-    """Power series with exact rational coefficients c_0..c_K.
+def _pascal_rows(K: int):
+    """Rows C(n, 0..n) for n = 0..K, each built from the one before."""
+    row = [1]
+    for _ in range(K + 1):
+        yield row
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
 
-    Addition, multiplication and exponentiation stay closed at the
-    truncation order; exp requires a zero constant term.
+
+class TruncatedEGF:
+    """Exponential generating function truncated at order K, held as its
+    integer counts a_0..a_K: the coefficient of x^k is a_k / k!.
+
+    A product is the binomial convolution of the counts, and exp solves
+    g' = f'g on them, so the arithmetic never leaves the integers.  exp
+    requires a zero constant term.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("counts",)
 
-    def __init__(self, coeffs):
-        from fractions import Fraction
-
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
+    def __init__(self, counts):
+        self.counts = tuple(map(index, counts))
+        if not self.counts:
             raise ValueError("need at least the constant coefficient")
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.counts) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        """The coefficient c_k = a_k / k!."""
+        from fractions import Fraction
+
+        return Fraction(self.counts[k], factorial(k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.counts == other.counts
 
     def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        K = min(self.order, other.order)
-        return TruncatedEGF(
-            [self.coeffs[i] + other.coeffs[i] for i in range(K + 1)]
-        )
+        return TruncatedEGF(map(add, self.counts, other.counts))
 
     def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        K = min(self.order, other.order)
-        return TruncatedEGF(
-            [self.coeffs[i] - other.coeffs[i] for i in range(K + 1)]
-        )
+        return TruncatedEGF(map(sub, self.counts, other.counts))
 
     def __mul__(self, other: "TruncatedEGF") -> "TruncatedEGF":
+        """a_n = sum_i C(n, i) f_i g_{n-i}: the product of the series."""
         K = min(self.order, other.order)
-        out = [0] * (K + 1)
-        for i, ci in enumerate(self.coeffs[: K + 1]):
-            if not ci:
-                continue
-            for j in range(0, K + 1 - i):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return TruncatedEGF(out)
-
-    def scale(self, c) -> "TruncatedEGF":
-        from fractions import Fraction
-
-        c = Fraction(c)
-        return TruncatedEGF([c * x for x in self.coeffs])
+        f, g = self.counts, other.counts
+        return TruncatedEGF(
+            sum(c * f[i] * g[n - i] for i, c in enumerate(row))
+            for n, row in enumerate(_pascal_rows(K))
+        )
 
     def pow(self, e: int) -> "TruncatedEGF":
         """The e-th power by repeated squaring, about 2 log2(e) products."""
@@ -158,17 +155,14 @@ class TruncatedEGF:
     def exp(self) -> "TruncatedEGF":
         """exp of a series with zero constant term, exactly truncated.
 
-        g = exp(f) solves g' = f'g, so g_0 = 1 and
-        n g_n = sum_{j=1..n} j f_j g_{n-j}, which takes O(K^2) products."""
-        from fractions import Fraction
-
-        f = self.coeffs
+        g = exp(f) solves g' = f'g, so g_0 = 1 and g_n is the sum over
+        j = 1..n of C(n-1, j-1) f_j g_{n-j}: O(K^2) products."""
+        f = self.counts
         if f[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        g = [Fraction(1)]
-        for n in range(1, self.order + 1):
-            terms = (j * f[j] * g[n - j] for j in range(1, n + 1) if f[j])
-            g.append(sum(terms, Fraction(0)) / n)
+        g = [1]
+        for n, row in enumerate(_pascal_rows(self.order - 1), 1):
+            g.append(sum(c * f[j + 1] * g[n - 1 - j] for j, c in enumerate(row)))
         return TruncatedEGF(g)
 
     @staticmethod
@@ -181,12 +175,10 @@ class TruncatedEGF:
 
     @staticmethod
     def exp_x(K: int) -> "TruncatedEGF":
-        from fractions import Fraction
-
-        return TruncatedEGF([Fraction(1, factorial(j)) for j in range(K + 1)])
+        return TruncatedEGF([1] * (K + 1))
 
     def __repr__(self) -> str:
-        return "TruncatedEGF(" + ", ".join(str(c) for c in self.coeffs) + ")"
+        return "TruncatedEGF(" + ", ".join(map(str, self.counts)) + ")"
 
 
 def no_small_blocks_egf(K: int) -> TruncatedEGF:
@@ -195,25 +187,28 @@ def no_small_blocks_egf(K: int) -> TruncatedEGF:
 
 
 def egf_rhs(lambda_bar: Partition, K: int) -> TruncatedEGF:
-    """Series whose k-th coefficient times k! counts walks ending at the
-    shape lambda_bar extended by a long first row:
+    """Series whose k-th count counts walks ending at the shape lambda_bar
+    extended by a long first row:
 
         f / ell! * exp(e^x - x - 1) * (e^x - 1)^ell
 
-    with ell the weight of lambda_bar and f its standard-tableau count."""
-    from fractions import Fraction
-
+    with ell the weight of lambda_bar and f its standard-tableau count;
+    ell! divides every count exactly, and a remainder aborts loudly."""
     lambda_bar = check_partition(lambda_bar)
     ell = weight(lambda_bar)
     if K < ell:
         raise ValueError(f"order {K} below the weight {ell} of {lambda_bar}")
     em1 = TruncatedEGF.exp_x(K) - TruncatedEGF.one(K)
     rhs = no_small_blocks_egf(K) * em1.pow(ell)
-    return rhs.scale(Fraction(standard_tableaux_count(lambda_bar), factorial(ell)))
+    f, blocks = standard_tableaux_count(lambda_bar), factorial(ell)
+    counts, rems = zip(*(divmod(f * a, blocks) for a in rhs.counts))
+    if any(rems):
+        raise ArithmeticError(f"a count is not divisible by {ell}!")
+    return TruncatedEGF(counts)
 
 
 def egf_check(lambda_bar: Partition, K: int) -> list[dict]:
-    """Compare k! times each series coefficient with the closed formula.
+    """Compare each count of the series with the closed formula.
 
     For each ell <= k <= K the formula is evaluated at the smallest valid
     weight (k plus the largest part of lambda_bar) and again one higher,
@@ -225,9 +220,7 @@ def egf_check(lambda_bar: Partition, K: int) -> list[dict]:
     top = lambda_bar[0] if lambda_bar else 0
     rows = []
     for k in range(ell, K + 1):
-        value = series[k] * factorial(k)
-        egf_count = int(value) if value.denominator == 1 else value
-        ok = value.denominator == 1
+        egf_count = series.counts[k]
         base = k + top
         if base - ell < 1:  # the added part must be positive
             base = ell + 1
@@ -235,13 +228,12 @@ def egf_check(lambda_bar: Partition, K: int) -> list[dict]:
         for n_k in (base, base + 1):
             lam = tuple(sorted(lambda_bar + (n_k - ell,), reverse=True))
             formula_counts.append(multiplicity_formula(n_k, k, lam))
-        ok = ok and formula_counts[0] == formula_counts[1] == egf_count
         rows.append(
             {
                 "k": k,
                 "formula": str(formula_counts[0]),
                 "egf": str(egf_count),
-                "ok": ok,
+                "ok": formula_counts[0] == formula_counts[1] == egf_count,
             }
         )
     return rows

@@ -444,8 +444,10 @@ class DecCyclePermutation(Record):
     @classmethod
     def from_mapping(cls, mapping: list[int]) -> "DecCyclePermutation":
         """Build from an image array (index 0 ignored); rejects mappings
-        with a non-decreasing cycle."""
+        that are not permutations of 1..k or have a non-decreasing cycle."""
         k = len(mapping) - 1
+        if sorted(mapping[1:]) != list(range(1, k + 1)):
+            raise ValueError(f"not a permutation of 1..{k}")
         seen = set()
         cycles = []
         for start in range(1, k + 1):

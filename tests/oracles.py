@@ -5,7 +5,8 @@ expanded monomial by monomial, tableaux, LR fillings, set partitions and
 walks are listed exhaustively, partitions are filtered from all
 compositions, walk steps are recomputed cell by cell, character values
 come from border-strip removal, the partition function comes from the
-pentagonal recurrence and exponentials of series from their power sums.
+pentagonal recurrence, products of series from their plain coefficient
+products and exponentials of series from their power sums.
 """
 
 from bisect import bisect_left
@@ -327,6 +328,13 @@ def singleton_free_partitions(k):
     return sum((-1) ** (k - j) * comb(k, j) * bells[j] for j in range(k + 1))
 
 
+def series_product(f, g):
+    """The product of two power series by their plain (Cauchy) product of
+    coefficients, truncated at the lower of the two orders."""
+    K = min(len(f), len(g)) - 1
+    return [sum(f[a] * g[i - a] for a in range(i + 1)) for i in range(K + 1)]
+
+
 def exp_series(f):
     """exp of a power series f_0..f_K with zero constant term, truncated at
     order K: the sum of f**j / j! for j <= K, by plain list products."""
@@ -335,7 +343,7 @@ def exp_series(f):
     power = [Fraction(1)] + [Fraction(0)] * K
     for j in range(K + 1):
         out = [o + c / factorial(j) for o, c in zip(out, power)]
-        power = [sum(power[a] * f[i - a] for a in range(i + 1)) for i in range(K + 1)]
+        power = series_product(power, f)
     return out
 
 

@@ -18,7 +18,16 @@ from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import partitions_of, standard_tableaux_count
 from kronlab.tableaux import bijection_regime_ok, count_kronecker_tableaux
 
-from oracles import exp_series, p2_recursive, set_partitions
+from oracles import exp_series, p2_recursive, series_product, set_partitions
+
+
+def rational(series):
+    """The coefficients c_k = a_k / k! of a series held as counts a_k."""
+    return [Fraction(a, factorial(k)) for k, a in enumerate(series.counts)]
+
+
+def random_counts(rng, K):
+    return [rng.randint(-9, 9) for _ in range(K + 1)]
 
 
 def test_p2_base_cases():
@@ -58,11 +67,10 @@ def test_p2_rows_against_recursive_oracle():
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_p2_against_generating_function(n):
-    # n! [x^n] p(x)^m / m!  with p(x) = e^x - x - 1
+    # n! [x^n] p(x)^m = m! p2(n, m)  with p(x) = e^x - x - 1
     p = TruncatedEGF.exp_x(12) - TruncatedEGF.x(12) - TruncatedEGF.one(12)
     for m in range(0, 7):
-        coeff = p.pow(m).scale(Fraction(1, factorial(m)))[n] * factorial(n)
-        assert coeff == p2(n, m)
+        assert p.pow(m).counts[n] == factorial(m) * p2(n, m)
 
 
 def test_formula_trivial_k0():
@@ -120,37 +128,45 @@ def test_truncated_egf_arithmetic():
     e = TruncatedEGF.exp_x(6)
     one = TruncatedEGF.one(6)
     x = TruncatedEGF.x(6)
-    assert (e - one - x).coeffs[0:2] == (Fraction(0), Fraction(0))
+    assert rational(e) == [Fraction(1, factorial(k)) for k in range(7)]
+    assert [e[k] for k in range(7)] == rational(e)
+    assert rational(x) == [0, 1, 0, 0, 0, 0, 0]
+    assert (e - one - x).counts == (0, 0, 1, 1, 1, 1, 1)
     assert (x * x)[2] == 1
     assert (e * e)[3] == Fraction(8, 6)  # e^{2x}
+    assert (e * e).counts == tuple(2**k for k in range(7))
     assert x.exp() == e
     # a sum stops at the lower of the two orders
     assert x + TruncatedEGF.one(2) == TruncatedEGF([1, 1, 0])
     assert repr(TruncatedEGF.x(2)) == "TruncatedEGF(0, 1, 0)"
-    assert e.__eq__(e.coeffs) is NotImplemented and e != e.coeffs
+    assert repr(TruncatedEGF.exp_x(2)) == "TruncatedEGF(1, 1, 1)"
+    assert e.__eq__(e.counts) is NotImplemented and e != e.counts
     with pytest.raises(ValueError):
         (one).exp()
+    with pytest.raises(TypeError):
+        TruncatedEGF([1, Fraction(1, 2)])
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_exp_matches_power_sum_oracle(seed):
     rng = random.Random(seed)
     for K in range(13):
-        f = [Fraction(0)] + [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K)
-        ]
-        assert TruncatedEGF(f).exp().coeffs == tuple(exp_series(f))
+        f = TruncatedEGF([0] + random_counts(rng, K)[1:])
+        assert rational(f.exp()) == exp_series(rational(f))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_pow_matches_repeated_products(seed):
     rng = random.Random(seed)
     for K in range(9):
-        f = TruncatedEGF([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K + 1)])
-        power = TruncatedEGF.one(K)
+        f = TruncatedEGF(random_counts(rng, K))
+        # a product stops at the lower of the two orders
+        g = TruncatedEGF(random_counts(rng, rng.randint(0, 12)))
+        assert rational(f * g) == series_product(rational(f), rational(g))
+        power = [Fraction(1)] + [Fraction(0)] * K
         for e in range(10):
-            assert f.pow(e) == power
-            power = power * f
+            assert rational(f.pow(e)) == power
+            power = series_product(power, rational(f))
     with pytest.raises(ValueError, match="nonnegative"):
         TruncatedEGF.one(3).pow(-1)
 
@@ -168,8 +184,7 @@ def test_formula_sum_matches_the_direct_double_sum():
 
 
 def test_no_small_blocks_series():
-    e = no_small_blocks_egf(8)
-    got = [int(e[k] * factorial(k)) for k in range(9)]
+    got = list(no_small_blocks_egf(8).counts)
     assert got[:4] == [1, 0, 1, 1]
     # singleton-free set partition counts, cross-checked exhaustively
     for n in range(0, 9):
@@ -208,15 +223,26 @@ def test_egf_check_three_row_tail():
     assert all(r["ok"] for r in rows)
 
 
+def test_a_corrupted_series_raises(monkeypatch):
+    # without (e^x - 1)^ell the counts are not multiples of ell!
+    monkeypatch.setattr(TruncatedEGF, "pow", lambda self, e: TruncatedEGF.one(self.order))
+    with pytest.raises(ArithmeticError, match="not divisible by 2!"):
+        egf_rhs((1, 1), 4)
+
+
 def test_egf_rhs_rejects_low_order():
     with pytest.raises(ValueError):
         egf_rhs((2, 1), 2)
 
 
 def test_egf_scaling_by_tableau_count():
-    # the truncated-shape factor scales the whole series
-    base = egf_rhs((1, 1), 8)
-    f = standard_tableaux_count((1, 1))
-    assert base == no_small_blocks_egf(8) * (
-        TruncatedEGF.exp_x(8) - TruncatedEGF.one(8)
-    ).pow(2).scale(Fraction(f, factorial(2)))
+    # f / ell! * exp(e^x - x - 1) * (e^x - 1)^ell, all in rationals
+    K = 40
+    em1 = [Fraction(0)] + [Fraction(1, factorial(k)) for k in range(1, K + 1)]
+    blocks = exp_series([0, 0] + em1[2:])
+    for lb in [(), (1,), (1, 1), (2, 1), (3, 1), (2, 2, 1), (3, 2, 1)]:
+        series = blocks
+        for _ in range(sum(lb)):
+            series = series_product(series, em1)
+        scale = Fraction(standard_tableaux_count(lb), factorial(sum(lb)))
+        assert rational(egf_rhs(lb, K)) == [scale * c for c in series], lb

@@ -72,6 +72,8 @@ CASES = {
     "egf-check-empty": (["egf", "[]", "--order", "8", "--check"], None),
     "egf-check": (["egf", "[2,1]", "--order", "6", "--check"], None),
     "egf-order-too-small": (["egf", "[2,1]", "--order", "2"], None),
+    "egf-series-order-100": (["egf", "[3,2,1]", "--order", "100"], None),
+    "egf-check-order-100": (["egf", "[3,2,1]", "--order", "100", "--check"], None),
     "verify-small": (["verify", "--n", "5", "--k", "4"], None),
     "verify-trivial": (["verify", "--n", "2", "--k", "0"], None),
     "verify-resource-limit": (["verify", "--n", "100", "--k", "1"], None),
@@ -125,6 +127,8 @@ GOLDEN = {
     "egf-check-empty": (0, "e8e48127a630d027464c4703a1320a1cecade3e90554d9af7287dc389ef7f139"),
     "egf-check": (0, "9fbba43c53c2ee25d1eac88398221e25988a2923f8f97f7253d4ec08588adadc"),
     "egf-order-too-small": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "egf-series-order-100": (0, "576c4d0b9bd053d86052e644eda146f9cccfb5b2c6c0b0b334a3469d0fcc36ef"),
+    "egf-check-order-100": (0, "ef4e3346b0857bfc0ee24597d1d7d69ec824b7bfc93ced658606ea9237995f9c"),
     "verify-small": (0, "398ef6ddb37d5ddc5e5bfa3f13478335a10e008dc53e9ae769f112c107195ee0"),
     "verify-trivial": (0, "6da13995b6aa2429c48603a4d84b45dcb842c56bbaaebbb48aba8d706b2635d3"),
     "verify-resource-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

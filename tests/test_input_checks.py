@@ -131,6 +131,16 @@ CASES = {
         ValueError,
         "not a permutation of 1..3",
     ),
+    "from-mapping-repeated-image": (
+        lambda: DecCyclePermutation.from_mapping([0, 2, 2]),
+        ValueError,
+        "not a permutation of 1..2",
+    ),
+    "from-mapping-image-out-of-range": (
+        lambda: DecCyclePermutation.from_mapping([0, 2, 1, 7]),
+        ValueError,
+        "not a permutation of 1..3",
+    ),
     "from-pair-labels": (
         lambda: from_pair(
             PartialStandardTableau(((3,),)), DecCyclePermutation(((1,), (2,))), 6, 2
