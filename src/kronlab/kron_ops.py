@@ -30,17 +30,15 @@ given into one sum of s_a s_b^perp, memoised per operator, and skews by
 each b and multiplies by each s_a once.
 
 Powers of the (n-1,1) irreducible are memoised in ``_powers`` per
-``(n, k)``, every step up to 64 and the k asked for, and carried forward
-from the largest cached power below k, so any sweep over k <= K <= 64, in
-any order, costs K operator applications per n.  The stored sums are
-shared, so callers only read them.
+``(n, k)`` by the rule of ``_memo.iterate``.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import product as iproduct
 
+from ._memo import iterate
 from ._record import Record
 from .partitions import (
     Partition,
@@ -120,26 +118,12 @@ def kron_product_via_operator(lam: Partition, mu: Partition) -> SchurSum:
 
 # (n, k) -> k-th power of the (n-1,1) irreducible; values are only read
 _powers: dict[tuple[int, int], SchurSum] = {}
-# past this step only the power asked for is kept: one high power, one sum
-_KEEP_EVERY_STEP = 64
 
 
 def kron_power_nm1(n: int, k: int) -> SchurSum:
     """k-th Kronecker power of the (n-1,1) irreducible, by iterating the
-    single-cell operator on the one-row Schur function from the largest
-    power of the same n already computed, storing steps up to 64 and k."""
+    single-cell operator on the one-row Schur function (``_memo.iterate``)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    for done in range(k, 0, -1):
-        if (f := _powers.get((n, done))) is not None:
-            break
-    else:
-        done, f = 0, SchurSum.schur((n,))
-    op = build_operator((1,))
-    for step in range(done + 1, k + 1):
-        f = apply(op, f)
-        if step <= _KEEP_EVERY_STEP or step == k:
-            _powers[n, step] = f
-    return f
+    step = partial(apply, build_operator((1,)))
+    return iterate(_powers, n, SchurSum.schur((n,)), step, k)

@@ -277,8 +277,11 @@ def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
 
 
 def perp(gamma: Partition, f: SchurSum) -> SchurSum:
-    """Adjoint of multiplication by s_gamma: skews every term by gamma."""
+    """Adjoint of multiplication by s_gamma: skews every term by gamma.
+    Every term must be a partition."""
     gamma = check_partition(gamma)
+    for p in f.terms:
+        check_partition(p)
     d = f.degree - weight(gamma)
     if d < 0:
         return SchurSum.zero(0)

@@ -9,13 +9,11 @@ multiplicity, so exhaustive and transfer-matrix counts here cross-check
 the operator and character routes.
 
 Walk counts from a shape mu are memoised in ``_endpoints`` per ``(mu, k)``,
-one vector over all final shapes for every length on the way up to 64,
-and carried forward from the longest walks from mu already counted.  Each
+one vector over all final shapes, by the rule of ``_memo.iterate``.  Each
 transfer-matrix step reads the cached step table of the shapes in hand,
 so a count touches only the shapes its walks reach, never every
-partition of n.  The stored vectors are shared, so callers only read
-them.  The listing steps the vectors it prunes by in a local list and
-leaves the memo as it was.
+partition of n.  The listing steps the vectors it prunes by in a local
+list and leaves the memo as it was.
 
 When the first row stays long enough (n >= k + second part of the final
 shape, ``partitions.bijection_regime_ok``) the walks biject with shorter
@@ -28,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cache
 
+from ._memo import iterate
 from ._record import Record
 from .partitions import (
     Cell,
@@ -163,30 +162,15 @@ def successors(p: Partition) -> list[tuple[Partition, Cell | None]]:
 
 # (mu, k) -> {final shape: number of length-k walks from mu}; only read
 _endpoints: dict[tuple[Partition, int], dict[Partition, int]] = {}
-# every length up to this is kept once walked, and past it only the length
-# asked for, so one long count keeps one vector of big counts, not thousands
-_KEEP_EVERY_STEP = 64
 
 
 def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
     """Number of length-k walks from mu to every shape they reach, by
-    transfer-matrix steps over ``_steps`` from the longest walks from mu
-    already counted, storing each step up to ``_KEEP_EVERY_STEP`` and k.
-    The returned dict is shared, so callers only read it."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k and not _steps(mu):
+    transfer-matrix steps over ``_steps`` (``_memo.iterate``).  The
+    returned dict is shared, so callers only read it."""
+    if k > 0 and not _steps(mu):
         return {}  # n <= 1: no walk has a step; from n = 2 on none dies
-    for done in range(k, 0, -1):
-        if (vec := _endpoints.get((mu, done))) is not None:
-            break
-    else:
-        done, vec = 0, {mu: 1}
-    for step in range(done + 1, k + 1):
-        vec = _step(vec)
-        if step <= _KEEP_EVERY_STEP or step == k:
-            _endpoints[mu, step] = vec
-    return vec
+    return iterate(_endpoints, mu, {mu: 1}, _step, k)
 
 
 def _step(vec: dict[Partition, int]) -> dict[Partition, int]:

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kronlab import cli, kron_ops, tableaux
+from kronlab import _memo, cli, kron_ops, tableaux
 from kronlab.kron_ops import apply, build_operator, kron_power_nm1
 from kronlab.partitions import partitions_of
 from kronlab.symfunc import SchurSum
@@ -109,45 +109,69 @@ def applied(monkeypatch):
     return degrees
 
 
-def test_descending_sweep_applies_the_operator_once_per_step(applied):
-    for k in range(8, -1, -1):
-        kron_power_nm1(7, k)
-    # k = 8 stores every step on the way, so the smaller k apply nothing
-    assert len(applied) == 8
+# route -> (module, name of the step it reads at call time, its memo, the
+# call for k at n = 5, its value at k = 0, one step)
+ROUTES = {
+    "operator": (
+        kron_ops,
+        "apply",
+        kron_ops._powers,
+        lambda k: kron_power_nm1(5, k),
+        SchurSum.schur((5,)),
+        lambda f: apply(build_operator((1,)), f),
+    ),
+    "walks": (
+        tableaux,
+        "_step",
+        tableaux._endpoints,
+        lambda k: tableaux._walk_endpoints((5,), k),
+        {(5,): 1},
+        tableaux._step,
+    ),
+}
 
 
-def test_descending_walk_counts_take_each_step_once(monkeypatch):
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_a_descending_sweep_takes_each_step_once(route, monkeypatch):
+    module, name, _, call, *_ = ROUTES[route]
     steps = []
-    step = tableaux._step
+    step = getattr(module, name)
 
-    def counting_step(vec):
-        steps.append(len(vec))
-        return step(vec)
+    def counting_step(*args):
+        steps.append(args)
+        return step(*args)
 
     clear_memos()
-    monkeypatch.setattr(tableaux, "_step", counting_step)
+    monkeypatch.setattr(module, name, counting_step)
     for k in range(8, -1, -1):
-        walk_counts((7,), k)
+        call(k)
+    # k = 8 stores every step on the way, so the smaller k step nothing
     assert len(steps) == 8
 
 
-def test_a_long_count_keeps_the_short_steps_and_its_own_length():
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_a_high_power_keeps_the_low_steps_and_its_own(route):
+    _, _, memo, call, first, step = ROUTES[route]
     clear_memos()
-    count_kronecker_tableaux((5,), (4, 1), 100)
-    keep = tableaux._KEEP_EVERY_STEP
-    assert sorted(k for _, k in tableaux._endpoints) == [*range(1, keep + 1), 100]
-
-
-def test_a_high_power_keeps_the_low_steps_and_its_own():
-    clear_memos()
-    kron_power_nm1(5, 100)
-    keep = kron_ops._KEEP_EVERY_STEP
-    assert sorted(k for _, k in kron_ops._powers) == [*range(1, keep + 1), 100]
-    op = build_operator((1,))
-    fresh = SchurSum.schur((5,))
+    call(100)
+    keep = _memo.KEEP_EVERY_STEP
+    assert sorted(k for _, k in memo) == [*range(1, keep + 1), 100]
+    fresh = first
     for _ in range(80):
-        fresh = apply(op, fresh)
-    assert kron_power_nm1(5, 80) == fresh
+        fresh = step(fresh)
+    assert call(80) == fresh
+
+
+def test_a_walk_with_no_step_is_not_carried_forward(monkeypatch):
+    def no_step(vec):
+        raise AssertionError("stepped walks that cannot step")
+
+    clear_memos()
+    monkeypatch.setattr(tableaux, "_step", no_step)
+    # n <= 1 returns before the memo search, so a huge k answers at once
+    assert count_kronecker_tableaux((1,), (1,), 10**7) == 0
+    assert walk_counts((), 10**7) == SchurSum.zero(0)
+    assert count_kronecker_tableaux((), (), 0) == 1
 
 
 def test_verify_applies_the_operator_once_per_power(applied, capsys):

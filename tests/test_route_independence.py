@@ -1,8 +1,9 @@
 """The routes stay independent: each module of the package may import
 from the rest of kronlab only what is listed here.
 
-The shared rules live in ``partitions`` and the result records in
-``_record``; a route may use ``symfunc.SchurSum`` to return its answer.
+The shared rules live in ``partitions``, the result records in
+``_record`` and the memo rule of the iterated powers in ``_memo``; a route
+may use ``symfunc.SchurSum`` to return its answer.
 Only the operator route builds on the Schur-function engine itself.  A
 new module needs a row here, so a new route states its dependencies.
 """
@@ -15,12 +16,13 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kronlab"
 
 ANY = "*"
-SHARED = {"partitions": ANY, "_record": ANY, "symfunc": {"SchurSum"}}
+SHARED = {"partitions": ANY, "_record": ANY, "_memo": ANY, "symfunc": {"SchurSum"}}
 
 # module -> {kronlab module it may import from: names allowed, or ANY}
 ALLOWED = {
     "partitions": {},
     "_record": {},
+    "_memo": {},
     "symfunc": {"partitions": ANY},
     "characters": SHARED,
     "tableaux": SHARED,
