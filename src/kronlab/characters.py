@@ -25,9 +25,17 @@ the table and the class sizes are cached once per n and shared, so
 callers only read them.  A single value is one sweep over the parts of
 mu with the same strips, keeping only the shapes that fit inside lam.
 Every route is one exact inner product of rows: the sum over classes of
-class size times the product of the values, divided by n!.  A projection
-onto all irreducibles forms that weighted product once and takes one dot
-product per irreducible.
+class size times the product of the values, divided by n!.
+
+A product is projected onto the irreducibles one conjugate pair at a
+time.  The classes split by the parity of n - len(rho), the sign of a
+permutation of type rho, and chi^alpha' = sign * chi^alpha (Macdonald
+I.7): alpha' has alpha's values on the even classes and their negatives
+on the odd ones.  With e and o the dot products of the weighted product
+with alpha's values on the even and on the odd classes, alpha gets
+(e + o)/n! and alpha' gets (e - o)/n!, so each pair costs one pass over
+the classes.  The two halves come from the columns directly, once per n,
+and a product never builds the full table.
 
 The powers of chi^(n-1,1) skip the projection.  That row takes at most n
 distinct values v (one less than the number of fixed points), so
@@ -51,6 +59,7 @@ from .partitions import (
     Partition,
     check_same_weight,
     class_size,
+    conjugate,
     contains,
     format_partition,
     partitions_of,
@@ -163,14 +172,10 @@ def _average(total: int, order: int) -> int:
     return coeff
 
 
-def _weighted(n: int, *rows: tuple[int, ...]) -> list[int]:
-    """Class size times the product of the rows' values, class by class."""
-    return [size * prod(values) for size, *values in zip(_class_sizes(n), *rows)]
-
-
 def _inner(n: int, *rows: tuple[int, ...]) -> int:
     """Average over S_n of the product of class functions given as rows."""
-    return _average(sum(_weighted(n, *rows)), factorial(n))
+    total = sum(size * prod(values) for size, *values in zip(_class_sizes(n), *rows))
+    return _average(total, factorial(n))
 
 
 def _expand(n: int, weights: list[int], rows: Iterable[tuple[int, ...]]) -> SchurSum:
@@ -183,6 +188,32 @@ def _expand(n: int, weights: list[int], rows: Iterable[tuple[int, ...]]) -> Schu
         if coeff := _average(sum(map(mul, weights, row)), order):
             terms[alpha] = coeff
     return SchurSum(n, terms)
+
+
+_Half = tuple[tuple[int, ...], list[tuple[int, ...]]]
+
+
+@cache
+def _halves(n: int) -> tuple[_Half, _Half, list[tuple[Partition, Partition, int]]]:
+    """The classes of n split by the parity of n - len(rho): for the even
+    and then the odd classes, their sizes and every irreducible's values
+    on them, by index in ``partitions_of(n)``; and each conjugate pair
+    once, as (alpha, alpha', index of alpha), alpha the first of the two
+    in that order.  Built from the columns, two half-size transposes, so
+    the full table is not needed.  Shared, so callers only read it."""
+    ps, sizes, index = partitions_of(n), _class_sizes(n), _index(n)
+    halves = []
+    for parity in (0, 1):
+        classes = [j for j, rho in enumerate(ps) if (n - len(rho)) % 2 == parity]
+        # n <= 1 has no odd class: every irreducible's odd values are ()
+        values = list(zip(*[_column(ps[j]) for j in classes])) or [()] * len(ps)
+        halves.append((tuple(sizes[j] for j in classes), values))
+    pairs = []
+    for i, alpha in enumerate(ps):
+        conj = conjugate(alpha)
+        if i <= index[conj]:
+            pairs.append((alpha, conj, i))
+    return halves[0], halves[1], pairs
 
 
 @cache
@@ -262,10 +293,24 @@ def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:
 def kron_product_via_characters(lam: Partition, mu: Partition) -> SchurSum:
     """Schur expansion of the product character, via pointwise values.
 
-    The class-size-weighted product is formed once; each irreducible then
-    costs one dot product with its row of the table."""
+    The class-size-weighted product is formed once on the even and once
+    on the odd classes; each conjugate pair {alpha, alpha'} then costs one
+    dot product per half, e and o, and gets (e + o)/n! for alpha and
+    (e - o)/n! for alpha'."""
     n, (lam, mu) = check_same_weight(lam, mu)
-    return _expand(n, _weighted(n, _chi(lam), _chi(mu)), _table(n).values())
+    (even_sizes, even), (odd_sizes, odd), pairs = _halves(n)
+    index = _index(n)
+    i, j = index[lam], index[mu]
+    weights_even = list(map(mul, map(mul, even_sizes, even[i]), even[j]))
+    weights_odd = list(map(mul, map(mul, odd_sizes, odd[i]), odd[j]))
+    order = factorial(n)
+    terms = {}
+    for alpha, conj, a in pairs:
+        e, o = sum(map(mul, weights_even, even[a])), sum(map(mul, weights_odd, odd[a]))
+        terms[alpha] = _average(e + o, order)
+        if conj != alpha:
+            terms[conj] = _average(e - o, order)
+    return SchurSum(n, terms)
 
 
 def kron_power_oracle(n: int, k: int) -> SchurSum:

@@ -48,6 +48,13 @@ def p2(n: int, m: int) -> int:
     return next(islice(_p2_rows(n), m, None))[n]
 
 
+# the rows of p2 up to the order of the running ``egf_check``, or () outside
+# one: p2(n, m) does not depend on how far a row goes, so every k of a check
+# reads the one table instead of rebuilding its rows.  A lone formula sum
+# builds its own rows, two at a time, and holds no table.
+_p2_held: tuple[list[int], ...] = ()
+
+
 @cache
 def _formula_sum(k: int, ell: int) -> int:
     """The double sum of ``multiplicity_formula`` over fixed points m1 and
@@ -55,8 +62,10 @@ def _formula_sum(k: int, ell: int) -> int:
     over the rows of p2."""
     top = min(ell, k)
     choose_k = [comb(k, m1) for m1 in range(top + 1)]
+    held = _p2_held
+    rows = held[: k // 2 + 1] if held and len(held[0]) > k else _p2_rows(k)
     total = 0
-    for m2, row in enumerate(_p2_rows(k)):
+    for m2, row in enumerate(rows):
         for m1 in range(max(0, ell - m2), top + 1):
             total += choose_k[m1] * comb(m2, ell - m1) * row[k - m1]
     return total
@@ -212,28 +221,34 @@ def egf_check(lambda_bar: Partition, K: int) -> list[dict]:
 
     For each ell <= k <= K the formula is evaluated at the smallest valid
     weight (k plus the largest part of lambda_bar) and again one higher,
-    which also exercises the independence of that choice.  Returns one
-    report row per k."""
+    which also exercises the independence of that choice.  The rows of p2
+    up to K are built once and shared by every k.  Returns one report row
+    per k."""
+    global _p2_held
     lambda_bar = check_partition(lambda_bar)
     ell = weight(lambda_bar)
     series = egf_rhs(lambda_bar, K)
     top = lambda_bar[0] if lambda_bar else 0
     rows = []
-    for k in range(ell, K + 1):
-        egf_count = series.counts[k]
-        base = k + top
-        if base - ell < 1:  # the added part must be positive
-            base = ell + 1
-        formula_counts = []
-        for n_k in (base, base + 1):
-            lam = tuple(sorted(lambda_bar + (n_k - ell,), reverse=True))
-            formula_counts.append(multiplicity_formula(n_k, k, lam))
-        rows.append(
-            {
-                "k": k,
-                "formula": str(formula_counts[0]),
-                "egf": str(egf_count),
-                "ok": formula_counts[0] == formula_counts[1] == egf_count,
-            }
-        )
+    _p2_held = tuple(_p2_rows(K))
+    try:
+        for k in range(ell, K + 1):
+            egf_count = series.counts[k]
+            base = k + top
+            if base - ell < 1:  # the added part must be positive
+                base = ell + 1
+            formula_counts = []
+            for n_k in (base, base + 1):
+                lam = tuple(sorted(lambda_bar + (n_k - ell,), reverse=True))
+                formula_counts.append(multiplicity_formula(n_k, k, lam))
+            rows.append(
+                {
+                    "k": k,
+                    "formula": str(formula_counts[0]),
+                    "egf": str(egf_count),
+                    "ok": formula_counts[0] == formula_counts[1] == egf_count,
+                }
+            )
+    finally:
+        _p2_held = ()
     return rows

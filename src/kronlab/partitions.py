@@ -12,6 +12,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache
 from math import factorial
+from operator import le
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -106,9 +107,7 @@ def canonical_sort(ps) -> list[Partition]:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """Diagram containment: every row of ``inner`` fits inside ``outer``."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def conjugate(p: Partition) -> Partition:

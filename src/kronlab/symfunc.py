@@ -147,11 +147,12 @@ def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
     the operator route read the same memo entries.
     """
     gamma, alpha, mu = tuple(gamma), tuple(alpha), tuple(mu)
-    if weight(gamma) + weight(alpha) != weight(mu):
+    g, a = weight(gamma), weight(alpha)
+    if g + a != weight(mu):
         return 0
     if not contains(mu, gamma) or not contains(mu, alpha):
         return 0
-    big, small = (gamma, alpha) if weight(gamma) >= weight(alpha) else (alpha, gamma)
+    big, small = (gamma, alpha) if g >= a else (alpha, gamma)
     return _schur_product_terms(big, small).get(mu, 0)
 
 
@@ -253,11 +254,12 @@ def _add_products(
     """Add the product of the term dicts f and g into ``result``."""
     # c^mu_{pq} = c^mu_{qp}: the factor of smaller weight is the content
     big, small = (f, g) if f_degree >= g_degree else (g, f)
+    get = result.get
     for p, cp in big.items():
         for q, cq in small.items():
             c = cp * cq
             for mu, lr in _schur_product_terms(p, q).items():
-                result[mu] = result.get(mu, 0) + c * lr
+                result[mu] = get(mu, 0) + c * lr
 
 
 @cache

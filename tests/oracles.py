@@ -4,9 +4,10 @@ Nothing here calls back into the routines under test: polynomials are
 expanded monomial by monomial, tableaux, LR fillings, set partitions and
 walks are listed exhaustively, partitions are filtered from all
 compositions, walk steps are recomputed cell by cell, character values
-come from border-strip removal, the partition function comes from the
-pentagonal recurrence, products of series from their plain coefficient
-products and exponentials of series from their power sums.
+come from border-strip removal, Kronecker products from one projection
+per irreducible, containment row by row, the partition function comes
+from the pentagonal recurrence, products of series from their plain
+coefficient products and exponentials of series from their power sums.
 """
 
 from bisect import bisect_left
@@ -138,6 +139,40 @@ def mn_character(lam, gamma):
         parts = tuple(x - i for i, x in enumerate(new) if x > i)[::-1]
         total += (-1 if (j - pos) % 2 else 1) * mn_character(parts, rest)
     return total
+
+
+def kron_by_projection(partitions, values, lam, mu):
+    """{alpha: multiplicity} of the product of the characters lam and mu,
+    projected onto each irreducible alpha on its own: (1/n!) times the sum
+    over classes of class size times chi^lam chi^mu chi^alpha, from a
+    character table given as its partitions (rows and columns alike) and
+    its rows of values.  Class sizes are n! over the centralizer order."""
+    rows = dict(zip(partitions, values))
+    n = sum(lam)
+    sizes = []
+    for rho in partitions:
+        z = 1
+        for part, m in Counter(rho).items():
+            z *= part**m * factorial(m)
+        sizes.append(factorial(n) // z)
+    out = {}
+    for alpha in partitions:
+        total = sum(
+            size * x * y * a for size, x, y, a in zip(sizes, rows[lam], rows[mu], rows[alpha])
+        )
+        assert total % factorial(n) == 0, (lam, mu, alpha)
+        if total:
+            out[alpha] = total // factorial(n)
+    return out
+
+
+def contains_rowwise(outer, inner):
+    """Diagram containment by its definition: row i of inner is no longer
+    than row i of outer, for every row, a missing row being empty."""
+    return all(
+        (inner[i] if i < len(inner) else 0) <= (outer[i] if i < len(outer) else 0)
+        for i in range(max(len(outer), len(inner)))
+    )
 
 
 def lr_fillings(gamma, alpha, mu):
@@ -312,6 +347,26 @@ def p2_recursive(n, m):
     if m == 0:
         return 1 if n == 0 else 0
     return m * p2_recursive(n - 1, m) + (n - 1) * p2_recursive(n - 2, m - 1)
+
+
+def formula_sum_rebuilt(k, ell):
+    """The double sum of the closed formula, sum over fixed points m1 and
+    blocks m2 of C(k, m1) C(m2, ell - m1) p2(k - m1, m2), with the rows of
+    p2 rebuilt from scratch for this k: row m from row m - 1 by
+    p2(n, m) = m*p2(n-1, m) + (n-1)*p2(n-2, m-1)."""
+    rows, row = [], [1] + [0] * k
+    rows.append(row)
+    for m in range(1, k // 2 + 1):
+        prev, row = row, [0] * (k + 1)
+        for n in range(2 * m, k + 1):
+            row[n] = m * row[n - 1] + (n - 1) * prev[n - 2]
+        rows.append(row)
+    top = min(ell, k)
+    return sum(
+        comb(k, m1) * comb(m2, ell - m1) * row[k - m1]
+        for m2, row in enumerate(rows)
+        for m1 in range(max(0, ell - m2), top + 1)
+    )
 
 
 def singleton_free_partitions(k):

@@ -16,11 +16,16 @@ from kronlab.characters import (
     kron_power_oracle,
     kron_product_via_characters,
 )
-from kronlab.partitions import class_size, partitions_of, standard_tableaux_count
+from kronlab.partitions import class_size, conjugate, partitions_of, standard_tableaux_count
 from kronlab.symfunc import SchurSum, h_to_schur, skew_then_multiply
 from kronlab.tableaux import walk_counts
 
-from oracles import fixed_set_compositions, frobenius_character, mn_character
+from oracles import (
+    fixed_set_compositions,
+    frobenius_character,
+    kron_by_projection,
+    mn_character,
+)
 
 S4_TABLE = (
     (1, 1, 1, 1, 1),
@@ -373,3 +378,76 @@ def test_dense_table_matches_single_values(n):
     for _ in range(30):
         lam, mu = rng.choice(partitions_of(n)), rng.choice(partitions_of(n))
         assert table.value(lam, mu) == character_value(lam, mu), (lam, mu)
+
+
+# The product is projected one conjugate pair at a time, on the classes
+# split by the sign of their permutations (Macdonald I.7).
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_conjugate_rows_differ_by_the_sign_of_the_class(n):
+    table = character_table(n)
+    rows = dict(zip(table.partitions, table.values))
+    signs = [(-1) ** (n - len(rho)) for rho in table.partitions]
+    for alpha, row in rows.items():
+        assert rows[conjugate(alpha)] == tuple(map(mul, signs, row)), alpha
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_product_matches_the_projection_per_irreducible(n):
+    table = character_table(n)
+    for lam in table.partitions:
+        for mu in table.partitions:
+            want = kron_by_projection(table.partitions, table.values, lam, mu)
+            assert kron_product_via_characters(lam, mu).terms == want, (lam, mu)
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_product_matches_the_projection_per_irreducible_on_seeded_pairs(n):
+    rng = random.Random(2300 + n)
+    table = character_table(n)
+    for _ in range(20):
+        lam, mu = rng.choice(table.partitions), rng.choice(table.partitions)
+        want = kron_by_projection(table.partitions, table.values, lam, mu)
+        assert kron_product_via_characters(lam, mu).terms == want, (lam, mu)
+
+
+def test_the_halves_split_the_classes_by_sign_and_name_each_pair_once():
+    for n in range(0, 13):
+        ps = partitions_of(n)
+        (even_sizes, even), (odd_sizes, odd), pairs = characters._halves(n)
+        classes = {
+            parity: [rho for rho in ps if (n - len(rho)) % 2 == parity] for parity in (0, 1)
+        }
+        assert even_sizes == tuple(map(class_size, classes[0]))
+        assert odd_sizes == tuple(map(class_size, classes[1]))
+        for lam, e, o in zip(ps, even, odd):
+            assert e == tuple(mn_character(lam, rho) for rho in classes[0])
+            assert o == tuple(mn_character(lam, rho) for rho in classes[1])
+        named = [alpha for alpha, _, _ in pairs] + [c for alpha, c, _ in pairs if c != alpha]
+        assert sorted(named) == sorted(ps), n
+        assert all(conj == conjugate(alpha) and ps[i] == alpha for alpha, conj, i in pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 9])
+def test_a_product_averages_each_irreducible_once(monkeypatch, n):
+    averaged, average = [], characters._average
+
+    def counted(total, order):
+        averaged.append(total)
+        return average(total, order)
+
+    monkeypatch.setattr(characters, "_average", counted)
+    for lam in partitions_of(n):
+        averaged.clear()
+        kron_product_via_characters(lam, lam)
+        assert len(averaged) == len(partitions_of(n)), lam
+
+
+def test_a_product_leaves_the_table_unbuilt():
+    characters._table.cache_clear()
+    for n in range(0, 13):
+        ps = partitions_of(n)
+        kron_product_via_characters(ps[0], ps[-1])
+        kron_product_via_characters(ps[len(ps) // 2], ps[len(ps) // 2])
+    assert characters._table.cache_info().currsize == 0

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from kronlab import enumeration
 from kronlab.enumeration import (
     TruncatedEGF,
     _formula_sum,
@@ -18,7 +19,13 @@ from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import partitions_of, standard_tableaux_count
 from kronlab.tableaux import bijection_regime_ok, count_kronecker_tableaux
 
-from oracles import exp_series, p2_recursive, series_product, set_partitions
+from oracles import (
+    exp_series,
+    formula_sum_rebuilt,
+    p2_recursive,
+    series_product,
+    set_partitions,
+)
 
 
 def rational(series):
@@ -181,6 +188,38 @@ def test_formula_sum_matches_the_direct_double_sum():
                 for m2 in range(k // 2 + 1)
             )
             assert _formula_sum(k, ell) == direct, (k, ell)
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_formula_sum_matches_the_rebuilt_rows(monkeypatch, held):
+    # each k on its own, or with the rows of a check of order 40 held: those
+    # serve k <= 40, and every larger k builds its own
+    if held:
+        monkeypatch.setattr(enumeration, "_p2_held", tuple(_p2_rows(40)))
+    _formula_sum.cache_clear()
+    try:
+        for k in range(61):
+            for ell in range(13):
+                assert _formula_sum(k, ell) == formula_sum_rebuilt(k, ell), (k, ell)
+    finally:
+        _formula_sum.cache_clear()
+
+
+def test_egf_check_builds_the_rows_of_p2_once(monkeypatch):
+    built = []
+
+    def counted(k):
+        built.append(k)
+        return _p2_rows(k)
+
+    monkeypatch.setattr(enumeration, "_p2_rows", counted)
+    _formula_sum.cache_clear()
+    try:
+        assert all(row["ok"] for row in egf_check((3, 2, 1), 40))
+    finally:
+        _formula_sum.cache_clear()
+    assert built == [40]
+    assert enumeration._p2_held == ()
 
 
 def test_no_small_blocks_series():

@@ -36,6 +36,7 @@ CASES = {
     "kron-character-n7": (["kron", "[4,2,1]", "[3,2,2]", "--method=character"], None),
     "kron-empty-both": (["kron", "[]", "[]", "--method=both"], None),
     "kron-operator-n12": (["kron", "[5,3,2,1,1]", "[6,2,2,2]", "--method=operator"], None),
+    "kron-character-n12": (["kron", "[5,3,2,1,1]", "[6,2,2,2]", "--method=character"], None),
     "kron-staircase-operator": (["kron", "[5,4,3,2,1]", "[5,4,3,2,1]", "--method=operator"], None),
     "kron-weight-mismatch": (["kron", "[4]", "[2,1]"], None),
     "kron-bad-syntax": (["kron", "[4", "[2,1,1]"], None),
@@ -91,6 +92,7 @@ GOLDEN = {
     "kron-character-n7": (0, "a7212602484b2b59a1ecc47a0a23443910bbbe962848f069bf568ace1705de6e"),
     "kron-empty-both": (0, "5bb02b3a9c62d10480b010a9e219b355f4e6b0bfc50cf29a62047f9560a2c9df"),
     "kron-operator-n12": (0, "d1ccf135fdeb5bf42ebab6b8d3f2ddbf45b1c28e76ab785f881882c5ef9f42c9"),
+    "kron-character-n12": (0, "d1ccf135fdeb5bf42ebab6b8d3f2ddbf45b1c28e76ab785f881882c5ef9f42c9"),
     "kron-staircase-operator": (0, "28082ba4720e27c9352a4fd7663305a50c97b34f9e5dbcd2cf945532758f653b"),
     "kron-weight-mismatch": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "kron-bad-syntax": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -170,6 +172,11 @@ def dump():
 
 def test_every_case_has_a_golden_value():
     assert set(GOLDEN) == set(CASES)
+
+
+def test_both_routes_print_the_same_product_at_n12():
+    # the same pair by either route: the output must be the same bytes
+    assert GOLDEN["kron-character-n12"] == GOLDEN["kron-operator-n12"]
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -19,7 +19,12 @@ from kronlab.partitions import (
     weight,
 )
 
-from oracles import partition_count, partitions_listed, standard_fillings_count
+from oracles import (
+    contains_rowwise,
+    partition_count,
+    partitions_listed,
+    standard_fillings_count,
+)
 
 
 def test_partitions_of_zero():
@@ -49,7 +54,7 @@ def test_partitions_inside_match_filtered_partitions():
     for w in range(0, 11):
         for lam in partitions_listed(w):
             for d in range(0, w + 1):
-                want = [alpha for alpha in partitions_listed(d) if contains(lam, alpha)]
+                want = [alpha for alpha in partitions_listed(d) if contains_rowwise(lam, alpha)]
                 assert list(partitions_inside(lam, d)) == want, (lam, d)
 
 
@@ -60,8 +65,20 @@ def test_floored_partitions_inside_match_filtered_partitions():
                 every = list(partitions_inside(lam, d))
                 for j in range(0, len(lam) + 1):
                     floor = lam[j:]
-                    want = [alpha for alpha in every if contains(alpha, floor)]
+                    want = [alpha for alpha in every if contains_rowwise(alpha, floor)]
                     assert list(partitions_inside(lam, d, floor)) == want, (lam, d, floor)
+
+
+def test_contains_matches_the_row_by_row_definition():
+    every = [p for w in range(0, 9) for p in partitions_listed(w)]
+    for outer in every:
+        for inner in every:
+            assert contains(outer, inner) == contains_rowwise(outer, inner), (outer, inner)
+    assert contains((3, 2), ()) and contains((), ())
+    assert not contains((), (1,))
+    # a longer inner partition never fits, even where its rows are short
+    assert not contains((5, 5), (1, 1, 1))
+    assert not contains_rowwise((5, 5), (1, 1, 1))
 
 
 def test_partitions_are_valid_and_sorted(subtests=None):
