@@ -7,25 +7,29 @@ the Schur expansion of the power sum p_mu.  Since p_mu = p_r * p_rest with
 r = mu[0] and rest = mu[1:], column mu comes from the column of rest by
 adding every border strip of size r to each of its shapes, with sign
 (-1)^height (the Murnaghan-Nakayama rule read in the adding direction,
-Macdonald I.7).  On beta-numbers (first-column hook lengths) adding a
-strip of size r moves one beta-number up by r, and the strip height is
-the number of beta-numbers jumped over.  Shapes are addressed by their
-position in ``partitions_of``: a column is a dense list over the
+Macdonald I.7).  A shape is held as the bit mask of its beta-numbers,
+one bead per row at bit lam_i + len(lam) - 1 - i: the abacus of
+James-Kerber, Macdonald I.1 Ex. 8.  Adding a strip of size r moves one
+bead from b up to an empty b + r, and the strip height is the number of
+beads strictly between the two, one popcount.  Shapes are addressed by
+their position in ``partitions_of``: a column is a dense list over the
 partitions of its weight, and the strips of size r added to every shape
-of weight w are memoised once per (w, r) as moves from one position to
-another, with their signs, so a column is built by a loop over indices
-with no lookup per entry.  Each column is memoised by its class; the
-suffixes of mu are built shortest first, so no recursion depth grows
-with n, and a table of weight n builds only the columns of the suffixes
-of its own classes (462 of the 915 partitions of weight at most 16 at
-n = 16).  Only traces are ever needed, never matrices.
+of weight w are memoised once per (w, r) as the positions they reach,
+split by the parity of their height, so a column is built by a loop of
+additions and subtractions with no lookup or sign per entry.  Each
+column is memoised by its class; the suffixes of mu are built shortest
+first, so no recursion depth grows with n, and a table of weight n
+builds only the columns of the suffixes of its own classes (462 of the
+915 partitions of weight at most 16 at n = 16).  Only traces are ever
+needed, never matrices.
 
-Each irreducible's values are then one row of the table of its weight;
-the table and the class sizes are cached once per n and shared, so
-callers only read them.  A single value is one sweep over the parts of
-mu with the same strips, keeping only the shapes that fit inside lam.
-Every route is one exact inner product of rows: the sum over classes of
-class size times the product of the values, divided by n!.
+Each irreducible's values are one row of the table of its weight.  The
+full table is built only for ``character_table``; the other routes read
+the columns through the halves below.  A single value is one sweep over
+the parts of mu with the same bead moves, keeping only the shapes that
+fit inside lam.  Every route is one exact inner product of rows: the sum
+over classes of class size times the product of the values, divided by
+n!.
 
 A product is projected onto the irreducibles one conjugate pair at a
 time.  The classes split by the parity of n - len(rho), the sign of a
@@ -68,24 +72,43 @@ from .partitions import (
 from .symfunc import SchurSum
 
 
-def _strips(lam: Partition, r: int) -> list[tuple[Partition, int]]:
-    """Every shape made by adding a border strip of size r to lam, with the
-    sign (-1)^height of the strip."""
-    rows = lam + (0,) * r  # a strip adds at most r rows
-    top = len(rows) - 1
-    beta = [part + top - i for i, part in enumerate(rows)]  # descending
+def _beads(lam: Partition) -> int:
+    """The beta-numbers of lam as a bit mask: one bead per row, at bit
+    lam_i + len(lam) - 1 - i (rows 0-based)."""
+    top = len(lam) - 1
+    return sum(1 << (part + top - i) for i, part in enumerate(lam))
+
+
+def _shape(beads: int) -> Partition:
+    """The partition whose bead mask is ``beads``: each bead's part is the
+    number of empty positions below it."""
+    parts = []
+    while beads:
+        low = beads & -beads
+        parts.append(low.bit_length() - 1 - len(parts))
+        beads ^= low
+    return tuple(reversed(parts))
+
+
+def _add_strips(beads: int, r: int) -> list[tuple[int, int]]:
+    """Every border strip of size r added to the shape with bead mask
+    ``beads``, as (bead mask of the new shape, height mod 2).
+
+    r zero rows are added first (a strip adds at most r rows): the mask
+    shifts up by r and the r low positions take a bead each.  A strip is
+    then one bead moved from b up to an empty b + r, and its height is the
+    number of beads strictly between the two.  Beads left on the low
+    positions are zero rows again and are shifted back out."""
+    padded = (beads << r) | ((1 << r) - 1)
+    free = padded & ~(padded >> r)  # the beads b with b + r empty
     out = []
-    p = 0
-    for j, b in enumerate(beta):
-        # beta[j] moves up to b + r and lands at row p; rows p..j-1, the
-        # strip's height, each move down one row and gain one cell
-        while beta[p] > b + r:
-            p += 1
-        if beta[p] == b + r:
-            continue
-        moved = tuple(x + 1 for x in rows[p:j])
-        shape = lam[:p] + (rows[j] + r - (j - p),) + moved + lam[j + 1 :]
-        out.append((shape, -1 if (j - p) % 2 else 1))
+    while free:
+        low = free & -free
+        free ^= low
+        up = low << r
+        moved = padded ^ low ^ up
+        zero_rows = (~moved & (moved + 1)).bit_length() - 1  # trailing beads
+        out.append((moved >> zero_rows, (padded & (up - (low << 1))).bit_count() & 1))
     return out
 
 
@@ -96,14 +119,28 @@ def _index(n: int) -> dict[Partition, int]:
 
 
 @cache
-def _strip_moves(w: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each partition of w, by index, its strips of size r as (index of
-    the new shape in weight w + r, sign).  Shared, so callers only read it."""
-    index = _index(w + r)
-    return tuple(
-        tuple((index[shape], sign) for shape, sign in _strips(lam, r))
-        for lam in partitions_of(w)
-    )
+def _bead_index(n: int) -> dict[int, int]:
+    """Position of each partition of n in ``partitions_of(n)``, keyed by
+    its bead mask; the keys run in that order."""
+    return {_beads(lam): i for i, lam in enumerate(partitions_of(n))}
+
+
+_Moves = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@cache
+def _strip_moves(w: int, r: int) -> tuple[_Moves, ...]:
+    """For each partition of w, by index, its strips of size r as the
+    indices of the new shapes in weight w + r: those of even height, then
+    those of odd height.  Shared, so callers only read it."""
+    index = _bead_index(w + r)
+    table = []
+    for beads in _bead_index(w):
+        split: tuple[list[int], list[int]] = ([], [])
+        for moved, odd in _add_strips(beads, r):
+            split[odd].append(index[moved])
+        table.append((tuple(split[0]), tuple(split[1])))
+    return tuple(table)
 
 
 @cache
@@ -118,10 +155,12 @@ def _column(mu: Partition) -> list[int]:
     r, rest = mu[0], mu[1:]
     w = weight(rest)
     col = [0] * len(partitions_of(w + r))
-    for value, moves in zip(_column(rest), _strip_moves(w, r)):
+    for value, (even, odd) in zip(_column(rest), _strip_moves(w, r)):
         if value:
-            for j, sign in moves:
-                col[j] += sign * value
+            for j in even:
+                col[j] += value
+            for j in odd:
+                col[j] -= value
     return col
 
 
@@ -133,12 +172,6 @@ def _table(n: int) -> dict[Partition, tuple[int, ...]]:
     return dict(zip(ps, zip(*map(_column, ps))))
 
 
-def _chi(lam: Partition) -> tuple[int, ...]:
-    """The irreducible character of lam as a row of values over the
-    partitions of its weight."""
-    return _table(weight(lam))[lam]
-
-
 def character_value(lam: Partition, mu: Partition) -> int:
     """Character of the irreducible indexed by lam at the class of type mu.
 
@@ -147,14 +180,14 @@ def character_value(lam: Partition, mu: Partition) -> int:
     and no whole column is expanded.  Each (shape, r) comes up once, so the
     sweep adds strips unmemoised and leaves no strip moves behind."""
     _, (lam, mu) = check_same_weight(lam, mu)
-    states = {(): 1}
+    states = {0: 1}  # bead mask -> coefficient
     for r in mu:
-        grown: dict[Partition, int] = {}
-        for shape, coeff in states.items():
-            for s, sign in _strips(shape, r):
-                grown[s] = grown.get(s, 0) + sign * coeff
-        states = {s: v for s, v in grown.items() if v and contains(lam, s)}
-    return states.get(lam, 0)
+        grown: dict[int, int] = {}
+        for beads, coeff in states.items():
+            for moved, odd in _add_strips(beads, r):
+                grown[moved] = grown.get(moved, 0) + (-coeff if odd else coeff)
+        states = {b: v for b, v in grown.items() if v and contains(lam, _shape(b))}
+    return states.get(_beads(lam), 0)
 
 
 @cache
@@ -170,12 +203,6 @@ def _average(total: int, order: int) -> int:
     if rem:
         raise ArithmeticError(f"non-integral multiplicity {total}/{order}")
     return coeff
-
-
-def _inner(n: int, *rows: tuple[int, ...]) -> int:
-    """Average over S_n of the product of class functions given as rows."""
-    total = sum(size * prod(values) for size, *values in zip(_class_sizes(n), *rows))
-    return _average(total, factorial(n))
 
 
 def _expand(n: int, weights: list[int], rows: Iterable[tuple[int, ...]]) -> SchurSum:
@@ -285,9 +312,17 @@ def character_table(n: int) -> CharacterTable:
 
 
 def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:
-    """Multiplicity of the alpha-irreducible in the lam (x) mu product."""
+    """Multiplicity of the alpha-irreducible in the lam (x) mu product: the
+    class-size-weighted product of the three rows, summed over the even
+    and the odd classes of ``_halves``, over n!.  The full table is not
+    built."""
     n, (lam, mu, alpha) = check_same_weight(lam, mu, alpha)
-    return _inner(n, _chi(lam), _chi(mu), _chi(alpha))
+    index = _index(n)
+    rows = index[lam], index[mu], index[alpha]
+    total = 0
+    for sizes, values in _halves(n)[:2]:
+        total += sum(map(prod, zip(sizes, *(values[i] for i in rows))))
+    return _average(total, factorial(n))
 
 
 def kron_product_via_characters(lam: Partition, mu: Partition) -> SchurSum:

@@ -37,7 +37,6 @@ from .partitions import (
     corners,
     format_partition,
     parse_partition,
-    remove_corner,
     add_corner_positions,
     bijection_regime_ok,
     weight,
@@ -140,17 +139,21 @@ class ReducedWalk(Record):
 def _steps(p: Partition) -> tuple[tuple[Partition, Cell | None], ...]:
     """The legal steps from the partition p as (next shape, mark): corner
     moves to a different shape (canonical order of the results), then a
-    stay marked with each corner other than the first corner.  Shared, so
-    callers only read it."""
-    cs = corners(p)
-    moves = {
-        q
-        for c in cs.corners
-        for q in add_corner_positions(remove_corner(p, c))
-        if q != p
-    }
+    stay marked with each corner other than the first corner, top row
+    first.  The corners are found once, top row first, so the first
+    corner, the lowest, comes last.  Each corner's row is lowered by one
+    cell, and every cell that can then be added gives a move, except the
+    one that puts the corner back; a move lowers one row and raises
+    another, so no two are the same shape.  Shared, so callers only read
+    it."""
+    cells = corners(p).corners
+    moves = []
+    for row, col in cells:
+        # a corner of length 1 is on the last row, which then goes
+        smaller = p[: row - 1] + (col - 1,) + p[row:] if col > 1 else p[:-1]
+        moves += [q for q in add_corner_positions(smaller) if q != p]
     return tuple((q, None) for q in canonical_sort(moves)) + tuple(
-        (p, c) for c in cs.corners if c != cs.first_corner
+        (p, c) for c in cells[:-1]
     )
 
 

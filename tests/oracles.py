@@ -4,10 +4,11 @@ Nothing here calls back into the routines under test: polynomials are
 expanded monomial by monomial, tableaux, LR fillings, set partitions and
 walks are listed exhaustively, partitions are filtered from all
 compositions, walk steps are recomputed cell by cell, character values
-come from border-strip removal, Kronecker products from one projection
-per irreducible, containment row by row, the partition function comes
-from the pentagonal recurrence, products of series from their plain
-coefficient products and exponentials of series from their power sums.
+come from border-strip removal, added strips from splicing shape tuples,
+Kronecker products from one projection per irreducible, containment row
+by row, the partition function comes from the pentagonal recurrence,
+products of series from their plain coefficient products and
+exponentials of series from their power sums.
 """
 
 from bisect import bisect_left
@@ -139,6 +140,28 @@ def mn_character(lam, gamma):
         parts = tuple(x - i for i, x in enumerate(new) if x > i)[::-1]
         total += (-1 if (j - pos) % 2 else 1) * mn_character(parts, rest)
     return total
+
+
+def border_strips(lam, r):
+    """Every shape made by adding a border strip of size r to lam, with the
+    sign (-1)^height of the strip, by splicing shape tuples: the
+    beta-number of row j moves up by r and lands at row p, and rows
+    p..j-1, the strip's height, each move down one row and gain a cell."""
+    lam = tuple(lam)
+    rows = lam + (0,) * r  # a strip adds at most r rows
+    top = len(rows) - 1
+    beta = [part + top - i for i, part in enumerate(rows)]  # descending
+    out = []
+    p = 0
+    for j, b in enumerate(beta):
+        while beta[p] > b + r:
+            p += 1
+        if beta[p] == b + r:
+            continue
+        moved = tuple(x + 1 for x in rows[p:j])
+        shape = lam[:p] + (rows[j] + r - (j - p),) + moved + lam[j + 1 :]
+        out.append((shape, -1 if (j - p) % 2 else 1))
+    return out
 
 
 def kron_by_projection(partitions, values, lam, mu):

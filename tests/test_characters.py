@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import product
 from math import factorial
 from operator import mul
@@ -8,7 +9,7 @@ import pytest
 
 from kronlab import characters
 from kronlab.characters import (
-    _inner,
+    _average,
     _strip_moves,
     character_table,
     character_value,
@@ -21,6 +22,7 @@ from kronlab.symfunc import SchurSum, h_to_schur, skew_then_multiply
 from kronlab.tableaux import walk_counts
 
 from oracles import (
+    border_strips,
     fixed_set_compositions,
     frobenius_character,
     kron_by_projection,
@@ -95,11 +97,40 @@ def test_routes_reject_unequal_weights(route, args):
 
 
 def test_inner_product_must_divide_exactly():
-    # partitions_of(3) is ((3,), (2, 1), (1, 1, 1)): this row is the
-    # indicator of the identity class, whose average over S_3 is 1/6
-    assert _inner(3, (0, 0, 6)) == 1
+    # every route divides its class-weighted total by n!; the indicator of
+    # the identity class of S_3 totals 1, whose average 1/6 is no multiplicity
+    assert _average(6, factorial(3)) == 1
     with pytest.raises(ArithmeticError):
-        _inner(3, (0, 0, 1))
+        _average(1, factorial(3))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_kron_coefficient_reads_the_product(n):
+    ps = partitions_of(n)
+    for lam in ps:
+        for mu in ps:
+            product = kron_product_via_characters(lam, mu)
+            for alpha in ps:
+                assert kron_coefficient(lam, mu, alpha) == product.coefficient(alpha)
+
+
+@pytest.mark.parametrize("n", range(12, 15))
+def test_kron_coefficient_reads_the_product_on_seeded_triples(n):
+    rng = random.Random(2400 + n)
+    ps = partitions_of(n)
+    for _ in range(20):
+        lam, mu, alpha = rng.choice(ps), rng.choice(ps), rng.choice(ps)
+        want = kron_product_via_characters(lam, mu).coefficient(alpha)
+        assert kron_coefficient(lam, mu, alpha) == want, (lam, mu, alpha)
+
+
+def test_kron_coefficient_leaves_the_table_unbuilt():
+    characters._table.cache_clear()
+    for n in range(0, 13):
+        ps = partitions_of(n)
+        kron_product_via_characters(ps[0], ps[-1])
+        kron_coefficient(ps[-1], ps[len(ps) // 2], ps[len(ps) // 2])
+    assert characters._table.cache_info().currsize == 0
 
 
 def test_kron_coefficient_square_of_31():
@@ -330,6 +361,26 @@ def test_character_value_on_random_pairs(seed):
 def test_character_value_of_a_long_cycle_type():
     # one strip per part of mu, swept without recursion
     assert character_value((2000,), (1,) * 2000) == 1
+
+
+@pytest.mark.parametrize("total", range(1, 17))
+def test_strip_moves_match_the_splicing_oracle(total):
+    # every w + r = total: the targets and signs, as a multiset per source
+    index = {lam: i for i, lam in enumerate(partitions_of(total))}
+    for r in range(1, total + 1):
+        w = total - r
+        moves = _strip_moves(w, r)
+        assert len(moves) == len(partitions_of(w))
+        for lam, (even, odd) in zip(partitions_of(w), moves):
+            got = Counter([(j, 1) for j in even] + [(j, -1) for j in odd])
+            want = Counter((index[shape], sign) for shape, sign in border_strips(lam, r))
+            assert got == want, (lam, r)
+
+
+def test_bead_masks_round_trip():
+    for n in range(0, 13):
+        for lam in partitions_of(n):
+            assert characters._shape(characters._beads(lam)) == lam
 
 
 def test_character_value_leaves_the_strip_memo_alone():

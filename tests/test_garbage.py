@@ -5,7 +5,7 @@ import gc
 
 import pytest
 
-from kronlab import symfunc
+from kronlab import characters, symfunc, tableaux
 from kronlab.partitions import partitions_inside
 
 COLD_CALLS = {
@@ -13,6 +13,8 @@ COLD_CALLS = {
     "lattice_strips": lambda: symfunc._lattice_strips.__wrapped__((4, 2, 1), (2, 1), 3),
     "h_determinant": lambda: symfunc.h_determinant([[3, 4, 5], [1, 2, 3], [-1, 0, 1]]),
     "partitions_inside": lambda: list(partitions_inside((5, 4, 3, 2), 9)),
+    "strip_moves": lambda: characters._strip_moves.__wrapped__(9, 4),
+    "steps": lambda: tableaux._steps.__wrapped__((5, 3, 3, 1)),
 }
 
 

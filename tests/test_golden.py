@@ -47,6 +47,7 @@ CASES = {
     "power-both-default": (["power", "5", "3"], None),
     "power-all": (["power", "6", "4", "--method=all"], None),
     "power-all-k0": (["power", "2", "0", "--method=all"], None),
+    "power-all-n8": (["power", "8", "6", "--method=all"], None),
     "power-n-too-small": (["power", "1", "3"], None),
     "power-negative-k": (["power", "5", "-1", "--method=all"], None),
     "power-resource-limit": (["power", "30", "2"], None),
@@ -57,10 +58,12 @@ CASES = {
     "chartable-default": (["chartable", "3"], None),
     "chartable-nonpositive": (["chartable", "0"], None),
     "chartable-ascii-7": (["chartable", "7", "--format=ascii"], None),
+    "chartable-json-12": (["chartable", "12", "--format=json"], None),
     "tableaux-count": (["tableaux", "count", "[5]", "[3,2]", "9"], None),
     "tableaux-count-zero": (["tableaux", "count", "[4]", "[1,1,1,1]", "1"], None),
     "tableaux-list": (["tableaux", "list", "[5]", "[3,2]", "3"], None),
     "tableaux-list-limit": (["tableaux", "list", "[5]", "[3,2]", "9", "--limit", "5"], None),
+    "tableaux-list-70": (["tableaux", "list", "[7]", "[4,2,1]", "5"], None),
     "tableaux-weight-mismatch": (["tableaux", "count", "[4]", "[2,1]", "2"], None),
     "tableaux-nonpositive-limit": (["tableaux", "list", "[4]", "[3,1]", "1", "--limit", "0"], None),
     "bijection-file": (["bijection", "{walkfile}"], None),
@@ -103,6 +106,7 @@ GOLDEN = {
     "power-both-default": (0, "a13eececd4638a05f395f96ced095d261e752f30ff5c264b1c227d3740e6a7f8"),
     "power-all": (0, "39235507a0a023aebd83a57eea7ae60f4dc28919194a195ddaa3fbec0640d1c3"),
     "power-all-k0": (0, "690783c408180bf094b473854f8c490d0e485812d8a8fc3d91b8c34ad450bbb5"),
+    "power-all-n8": (0, "25b6684bb341a842c610a3cc2bb02b4ce7e07e244255a7ecbd89a259f71f1f72"),
     "power-n-too-small": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-negative-k": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-resource-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -113,10 +117,12 @@ GOLDEN = {
     "chartable-default": (0, "1f6202c67c2dcfe5cae01afe5610d0324bc3749516100a7c4c890409ccf60b29"),
     "chartable-nonpositive": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "chartable-ascii-7": (0, "08a62467262db58ea5ae07a436b5c2bc4ab6a81457f3df01632a26f1d0d66426"),
+    "chartable-json-12": (0, "03da964c0c6417bfa3c52ec351f1cf56d2b91ee83d6773ff072a198b31c27052"),
     "tableaux-count": (0, "528bb9cb97f3c1c46fc7ce108c0fab00028f98585bbf3c962cf8925d554f763e"),
     "tableaux-count-zero": (0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
     "tableaux-list": (0, "63a7529c8d22be9dc4952988d6dde33766db2b82ac98c224d4511e7dc78819b5"),
     "tableaux-list-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "tableaux-list-70": (0, "a20b100836f941f12cc91ae7425a073382acd826017103081efebaac82547483"),
     "tableaux-weight-mismatch": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "tableaux-nonpositive-limit": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "bijection-file": (0, "3c22fbe49d6a599fb4f4ce4a0f1ff1ae2b66a7a7b0e825ea3a11de18e6f07033"),

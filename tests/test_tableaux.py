@@ -6,9 +6,17 @@ import pytest
 from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
-from kronlab.partitions import corners, partitions_of, weight
+from kronlab.partitions import (
+    add_corner_positions,
+    canonical_sort,
+    corners,
+    partitions_of,
+    remove_corner,
+    weight,
+)
 from kronlab.symfunc import SchurSum
 from kronlab.tableaux import (
+    _steps,
     BijectionError,
     DecCyclePermutation,
     EnumerationLimitError,
@@ -56,6 +64,22 @@ def test_successors_331():
 def test_successors_single_row_and_square():
     assert successors((6,)) == [((5, 1), None)]
     assert successors((2, 2)) == [((3, 1), None), ((2, 1, 1), None)]
+
+
+def steps_by_removal(p):
+    """The steps from p composed from the corner helpers: every corner
+    removed and every cell added back, except p itself, in canonical
+    order; then a stay on each corner but the first, top row first."""
+    cs = corners(p)
+    moves = {q for c in cs.corners for q in add_corner_positions(remove_corner(p, c)) if q != p}
+    stays = tuple((p, c) for c in cs.corners if c != cs.first_corner)
+    return tuple((q, None) for q in canonical_sort(moves)) + stays
+
+
+def test_steps_match_the_removal_composition():
+    for n in range(0, 13):
+        for p in partitions_of(n):
+            assert _steps.__wrapped__(p) == steps_by_removal(p), p
 
 
 def test_count_length_zero():
