@@ -24,8 +24,8 @@ builds only the columns of the suffixes of its own classes (462 of the
 needed, never matrices.
 
 Each irreducible's values are one row of the table of its weight.  The
-full table is built only for ``character_table``; the other routes read
-the columns through the halves below.  A single value is one sweep over
+full table is built only for ``character_table``; the products read the
+columns through the halves below, and the powers read none.  A single value is one sweep over
 the parts of mu with the same bead moves, keeping only the shapes that
 fit inside lam.  Every route is one exact inner product of rows: the sum
 over classes of class size times the product of the values, divided by
@@ -41,22 +41,26 @@ with alpha's values on the even and on the odd classes, alpha gets
 the classes.  The two halves come from the columns directly, once per n,
 and a product never builds the full table.
 
-The powers of chi^(n-1,1) skip the projection.  That row takes at most n
-distinct values v (one less than the number of fixed points), so
-<(chi^(n-1,1))^k, chi^alpha> = (1/n!) sum_v v^k W_alpha(v), where
-W_alpha(v) sums class size times chi^alpha over the classes on which the
-row equals v (Macdonald I.7).  The sums W depend on n only: they are
-built once per n from the table's columns, grouped by that value, and
-each power then costs one dot product of length at most n per
-irreducible.
+The powers of chi^(n-1,1) skip the projection and the columns.  That row
+is one less than the number of fixed points j of the class, so
+<(chi^(n-1,1))^k, chi^alpha> = (1/n!) sum_j (j-1)^k W_alpha(j-1), where
+W_alpha(j-1) sums class size times chi^alpha over the classes with j
+fixed points (Macdonald I.7).  Summed over those classes, size times p
+is C(n, j) p_1^j E_(n-j), with E_m the same sum over the classes of m
+with no fixed point, and E_m follows the cycle-index recurrence
+(Macdonald I.2) by the strips of every size r >= 2.  The sums W depend
+on n only: they are built once per n, from E and a chain of strips of
+size 1, with no column of the table (0 of the 508 columns of weight up
+to 14), and each power then costs one dot product of length at most n
+per irreducible.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cache
-from math import factorial, prod
-from operator import mul
+from math import comb, factorial, prod
+from operator import index, mul
 
 from ._record import Record
 from .partitions import (
@@ -244,29 +248,68 @@ def _halves(n: int) -> tuple[_Half, _Half, list[tuple[Partition, Partition, int]
 
 
 @cache
+def _fixed_point_free(m: int) -> list[int]:
+    """E_m, the sum of |C_sigma| p_sigma over the classes sigma of m with no
+    part 1, as a dense Schur expansion over the partitions of m.  The cycle
+    through the last point has length r >= 2 and (m-1)!/(m-r)! choices, so
+    E_m = sum_r (m-1)!/(m-r)! p_r E_(m-r) (Macdonald I.2), each p_r one pass
+    of the strips of size r.  Shared, so callers only read it."""
+    if m == 0:
+        return [1]
+    for w in range(2, m - 1):
+        _fixed_point_free(w)  # smallest first: the recursion stays shallow
+    out = [0] * len(partitions_of(m))
+    for r in range(2, m + 1):
+        ways = factorial(m - 1) // factorial(m - r)
+        for value, (even, odd) in zip(_fixed_point_free(m - r), _strip_moves(m - r, r)):
+            if value:
+                value *= ways
+                for j in even:
+                    out[j] += value
+                for j in odd:
+                    out[j] -= value
+    return out
+
+
+@cache
+def _with_fixed_points(n: int) -> tuple[list[int], ...]:
+    """p_1^j E_(n-j) for j = 0..n, each a dense Schur expansion over the
+    partitions of n: E_n, then p_1 times each entry of n-1's chain, one
+    pass of the strips of size 1.  Shared, so callers only read it."""
+    if n == 0:
+        return ([1],)
+    for w in range(1, n - 1):
+        _with_fixed_points(w)  # smallest first: the recursion stays shallow
+    moves = _strip_moves(n - 1, 1)
+    chain = [_fixed_point_free(n)]
+    for below in _with_fixed_points(n - 1):
+        out = [0] * len(partitions_of(n))
+        for value, (up, _) in zip(below, moves):
+            if value:
+                for j in up:
+                    out[j] += value
+        chain.append(out)
+    return tuple(chain)
+
+
+@cache
 def _power_sums(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The distinct values v of the table's row of (n-1,1), ascending, and
     for each irreducible alpha, in ``partitions_of(n)`` order, the sums
     W_alpha(v) of class size times chi^alpha over the classes where that
     row equals v.  Shared, so callers only read it.
 
-    The classes are grouped by value, and each group's columns, zipped,
-    give every alpha's values on that group: one dot product with the
-    group's class sizes each.  A single k costs more this way than one
-    projection (about 1.3 times at n = 14 to 16), but every further k at
-    the same n is one short dot product per alpha."""
-    columns, sizes = [_column(mu) for mu in partitions_of(n)], _class_sizes(n)
-    at = _index(n)[(n - 1, 1)]
-    classes: dict[int, list[int]] = {}
-    for j, column in enumerate(columns):
-        classes.setdefault(column[at], []).append(j)
-    values = sorted(classes)
-    sums = []
-    for v in values:
-        group = classes[v]
-        weights = [sizes[j] for j in group]
-        sums.append([sum(map(mul, weights, chi)) for chi in zip(*[columns[j] for j in group])])
-    return tuple(values), tuple(zip(*sums))
+    On a class the row is its number j of fixed points minus 1.  The
+    classes with j fixed points are sigma + 1^j, sigma a class of n - j
+    with no part 1, of size C(n, j)|C_sigma|, and p_(sigma + 1^j) is
+    p_1^j p_sigma.  So W(j-1) is C(n, j) p_1^j E_(n-j), read off
+    ``_with_fixed_points`` with no column of the table; j = n-1 has no
+    class, as every partition of 1 has a part 1.  Every power at n is then
+    one dot product of length at most n per irreducible."""
+    js = [j for j in range(n + 1) if j != n - 1]
+    chain = _with_fixed_points(n)
+    sums = [[comb(n, j) * w for w in chain[j]] for j in js]
+    return tuple(j - 1 for j in js), tuple(zip(*sums))
 
 
 class CharacterTable(Record):
@@ -352,6 +395,7 @@ def kron_power_oracle(n: int, k: int) -> SchurSum:
     """k-th pointwise power of the (n-1,1) character, expanded in Schur terms."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    k = index(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     values, sums = _power_sums(n)

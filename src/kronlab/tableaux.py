@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cache
+from operator import index
 
 from ._memo import iterate
 from ._record import Record
@@ -171,7 +172,7 @@ def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
     """Number of length-k walks from mu to every shape they reach, by
     transfer-matrix steps over ``_steps`` (``_memo.iterate``).  The
     returned dict is shared, so callers only read it."""
-    if k > 0 and not _steps(mu):
+    if index(k) > 0 and not _steps(mu):
         return {}  # n <= 1: no walk has a step; from n = 2 on none dies
     return iterate(_endpoints, mu, {mu: 1}, _step, k)
 

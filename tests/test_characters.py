@@ -208,7 +208,7 @@ def test_kron_power_oracle_at_a_large_power():
     assert kron_power_oracle(9, 40) == walk_counts((9,), 40)
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_power_sums_group_the_table_by_the_value_of_the_standard_row(n):
     table = character_table(n)
     standard = table.values[table.partitions.index((n - 1, 1))]
@@ -227,6 +227,29 @@ def test_a_k_sweep_builds_the_power_sums_once():
     for k in range(13):
         kron_power_oracle(11, k)
     assert characters._power_sums.cache_info().misses == 1
+
+
+def test_kron_power_oracle_matches_walk_counts_at_n20():
+    for k in range(7):
+        assert kron_power_oracle(20, k) == walk_counts((20,), k), k
+
+
+def test_kron_power_oracle_counts_every_dimension_at_n24():
+    # sum_alpha mult * f^alpha is the dimension (n - 1)^k of the power
+    power = kron_power_oracle(24, 4)
+    assert sum(c * standard_tableaux_count(a) for a, c in power.terms.items()) == 23**4
+
+
+def test_a_power_builds_no_column_of_the_table():
+    for memo in (
+        characters._power_sums,
+        characters._with_fixed_points,
+        characters._fixed_point_free,
+        characters._column,
+    ):
+        memo.cache_clear()
+    kron_power_oracle(12, 5)
+    assert characters._column.cache_info().currsize == 0
 
 
 def test_a_corrupted_power_sum_raises(monkeypatch):

@@ -53,6 +53,8 @@ CASES = {
     "power-resource-limit": (["power", "30", "2"], None),
     "power-raised-limit": (["power", "9", "2", "--method=all", "--max-n", "9"], None),
     "power-character-n9": (["power", "9", "5", "--method=character", "--max-n", "9"], None),
+    "power-all-n14": (["power", "14", "10", "--method=all", "--max-n", "14"], None),
+    "power-character-n20": (["power", "20", "8", "--method=character", "--max-n", "20"], None),
     "chartable-json": (["chartable", "5", "--format=json"], None),
     "chartable-ascii": (["chartable", "5", "--format=ascii"], None),
     "chartable-default": (["chartable", "3"], None),
@@ -112,6 +114,8 @@ GOLDEN = {
     "power-resource-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-raised-limit": (0, "3ddadd9e780495abb136c5beb6121e22baab773c8e5367826f423d7357020db3"),
     "power-character-n9": (0, "528c274c15a32a228722a908dc58c22570d5271b3bb1cf7fd2be2c9b93eddb9d"),
+    "power-all-n14": (0, "c8d325bebecc218693a1366a48cc30bac1076cacd322e8c52e02eea6c83fcbb1"),
+    "power-character-n20": (0, "f45b268a3392a6ec531833aa6648c45dfac845a432613abd91bec753e4acf96f"),
     "chartable-json": (0, "ac0018876cba7c4fb916cd9e0c7fe80b974ce7773f243f538b2cb8394c043a43"),
     "chartable-ascii": (0, "390f885ffd76dac5b839633ea90cb7b9f33e3716f6514ec53b90ec7e9077e326"),
     "chartable-default": (0, "1f6202c67c2dcfe5cae01afe5610d0324bc3749516100a7c4c890409ccf60b29"),

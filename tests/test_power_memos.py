@@ -4,10 +4,12 @@ threads, and the number of operator applications a sweep costs."""
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
-from kronlab import _memo, cli, kron_ops, tableaux
+from kronlab import _memo, characters, cli, kron_ops, tableaux
+from kronlab.characters import kron_power_oracle
 from kronlab.kron_ops import apply, build_operator, kron_power_nm1
 from kronlab.partitions import partitions_of
 from kronlab.symfunc import SchurSum
@@ -172,6 +174,28 @@ def test_a_walk_with_no_step_is_not_carried_forward(monkeypatch):
     assert count_kronecker_tableaux((1,), (1,), 10**7) == 0
     assert walk_counts((), 10**7) == SchurSum.zero(0)
     assert count_kronecker_tableaux((), (), 0) == 1
+
+
+POWER_CALLS = {
+    "characters": lambda k: kron_power_oracle(5, k),
+    "operator": lambda k: kron_power_nm1(5, k),
+    "walks": lambda k: walk_counts((5,), k),
+    "count": lambda k: count_kronecker_tableaux((5,), (3, 2), k),
+    "walks-n1": lambda k: walk_counts((1,), k),
+    "count-n0": lambda k: count_kronecker_tableaux((), (), k),
+}
+
+
+@pytest.mark.parametrize("call", list(POWER_CALLS))
+@pytest.mark.parametrize("k", [2.0, 2.5, Fraction(2), "2"], ids=repr)
+def test_a_power_that_is_not_an_integer_raises_on_a_cold_and_a_warm_memo(call, k):
+    clear_memos()
+    characters._power_sums.cache_clear()
+    with pytest.raises(TypeError):
+        POWER_CALLS[call](k)
+    POWER_CALLS[call](2)
+    with pytest.raises(TypeError):
+        POWER_CALLS[call](k)
 
 
 def test_verify_applies_the_operator_once_per_power(applied, capsys):
