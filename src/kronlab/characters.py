@@ -15,21 +15,27 @@ beads strictly between the two, one popcount.  Shapes are addressed by
 their position in ``partitions_of``: a column is a dense list over the
 partitions of its weight, and the strips of size r added to every shape
 of weight w are memoised once per (w, r) as the positions they reach,
-split by the parity of their height, so a column is built by a loop of
-additions and subtractions with no lookup or sign per entry.  Each
-column is memoised by its class; the suffixes of mu are built shortest
-first, so no recursion depth grows with n, and a table of weight n
-builds only the columns of the suffixes of its own classes (462 of the
-915 partitions of weight at most 16 at n = 16).  Only traces are ever
-needed, never matrices.
+split by the parity of their height.  Multiplying a dense expansion by
+p_r is then one loop of additions and subtractions with no lookup or
+sign per entry, ``_add_times_p``, the one kernel of every dense
+expansion here: the columns, and the class sums of the powers below.
+Each column is memoised by its class; the suffixes of mu are built
+shortest first, so no recursion depth grows with n, and a table of
+weight n builds only the columns of the suffixes of its own classes (462
+of the 915 partitions of weight at most 16 at n = 16).  Only traces are
+ever needed, never matrices.
 
-Each irreducible's values are one row of the table of its weight.  The
-full table is built only for ``character_table``; the products read the
-columns through the halves below, and the powers read none.  A single value is one sweep over
-the parts of mu with the same bead moves, keeping only the shapes that
-fit inside lam.  Every route is one exact inner product of rows: the sum
-over classes of class size times the product of the values, divided by
-n!.
+Each irreducible's values are one row of the table of its weight.
+``character_table`` transposes the columns on each call and keeps no
+rows; the products read the columns through the halves below, and the
+powers read none.  The memos are the position of each bead mask, the
+strip moves, the columns, the halves, and the class sums of the powers
+(``_fixed_point_free``, ``_with_fixed_points``, ``_power_sums``); none
+holds a copy of another.  A single value is one sweep over the parts of
+mu with the same bead moves, keeping only the shapes that fit inside
+lam, so it expands no column and does not use the dense kernel.  Every
+route is one exact inner product of rows: the sum over classes of class
+size times the product of the values, divided by n!.
 
 A product is projected onto the irreducibles one conjugate pair at a
 time.  The classes split by the parity of n - len(rho), the sign of a
@@ -57,7 +63,6 @@ per irreducible.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import cache
 from math import comb, factorial, prod
 from operator import index, mul
@@ -117,12 +122,6 @@ def _add_strips(beads: int, r: int) -> list[tuple[int, int]]:
 
 
 @cache
-def _index(n: int) -> dict[Partition, int]:
-    """Position of each partition of n in ``partitions_of(n)``."""
-    return {lam: i for i, lam in enumerate(partitions_of(n))}
-
-
-@cache
 def _bead_index(n: int) -> dict[int, int]:
     """Position of each partition of n in ``partitions_of(n)``, keyed by
     its bead mask; the keys run in that order."""
@@ -147,6 +146,21 @@ def _strip_moves(w: int, r: int) -> tuple[_Moves, ...]:
     return tuple(table)
 
 
+def _add_times_p(out: list[int], vec: list[int], w: int, r: int, scale: int = 1) -> None:
+    """Add scale * p_r * vec into ``out``, vec a dense Schur expansion over
+    the partitions of w and ``out`` one over those of w + r: each shape's
+    value goes to the shapes its strips of size r reach, added at even
+    height and subtracted at odd height.  The one Murnaghan-Nakayama
+    kernel of the dense routes."""
+    for value, (even, odd) in zip(vec, _strip_moves(w, r)):
+        if value:
+            value *= scale
+            for j in even:
+                out[j] += value
+            for j in odd:
+                out[j] -= value
+
+
 @cache
 def _column(mu: Partition) -> list[int]:
     """Column mu of the character table: the Schur expansion of p_mu as a
@@ -159,21 +173,8 @@ def _column(mu: Partition) -> list[int]:
     r, rest = mu[0], mu[1:]
     w = weight(rest)
     col = [0] * len(partitions_of(w + r))
-    for value, (even, odd) in zip(_column(rest), _strip_moves(w, r)):
-        if value:
-            for j in even:
-                col[j] += value
-            for j in odd:
-                col[j] -= value
+    _add_times_p(col, _column(rest), w, r)
     return col
-
-
-@cache
-def _table(n: int) -> dict[Partition, tuple[int, ...]]:
-    """Every irreducible of weight n as its row of values over the
-    partitions of n.  Shared, so callers only read it."""
-    ps = partitions_of(n)
-    return dict(zip(ps, zip(*map(_column, ps))))
 
 
 def character_value(lam: Partition, mu: Partition) -> int:
@@ -194,11 +195,6 @@ def character_value(lam: Partition, mu: Partition) -> int:
     return states.get(_beads(lam), 0)
 
 
-@cache
-def _class_sizes(n: int) -> tuple[int, ...]:
-    return tuple(class_size(gamma) for gamma in partitions_of(n))
-
-
 def _average(total: int, order: int) -> int:
     """``total`` over the group order n!, which is a multiplicity and must
     divide exactly; a remainder signals a bug, not bad input, so it aborts
@@ -207,18 +203,6 @@ def _average(total: int, order: int) -> int:
     if rem:
         raise ArithmeticError(f"non-integral multiplicity {total}/{order}")
     return coeff
-
-
-def _expand(n: int, weights: list[int], rows: Iterable[tuple[int, ...]]) -> SchurSum:
-    """The Schur sum whose coefficient of s_alpha is the dot product of
-    ``weights`` with alpha's entry of ``rows`` (one per irreducible, in
-    ``partitions_of(n)`` order), over n!."""
-    order = factorial(n)
-    terms = {}
-    for alpha, row in zip(partitions_of(n), rows):
-        if coeff := _average(sum(map(mul, weights, row)), order):
-            terms[alpha] = coeff
-    return SchurSum(n, terms)
 
 
 _Half = tuple[tuple[int, ...], list[tuple[int, ...]]]
@@ -232,17 +216,17 @@ def _halves(n: int) -> tuple[_Half, _Half, list[tuple[Partition, Partition, int]
     once, as (alpha, alpha', index of alpha), alpha the first of the two
     in that order.  Built from the columns, two half-size transposes, so
     the full table is not needed.  Shared, so callers only read it."""
-    ps, sizes, index = partitions_of(n), _class_sizes(n), _index(n)
+    ps, index = partitions_of(n), _bead_index(n)
     halves = []
     for parity in (0, 1):
         classes = [j for j, rho in enumerate(ps) if (n - len(rho)) % 2 == parity]
         # n <= 1 has no odd class: every irreducible's odd values are ()
         values = list(zip(*[_column(ps[j]) for j in classes])) or [()] * len(ps)
-        halves.append((tuple(sizes[j] for j in classes), values))
+        halves.append((tuple(class_size(ps[j]) for j in classes), values))
     pairs = []
     for i, alpha in enumerate(ps):
         conj = conjugate(alpha)
-        if i <= index[conj]:
+        if i <= index[_beads(conj)]:
             pairs.append((alpha, conj, i))
     return halves[0], halves[1], pairs
 
@@ -261,13 +245,7 @@ def _fixed_point_free(m: int) -> list[int]:
     out = [0] * len(partitions_of(m))
     for r in range(2, m + 1):
         ways = factorial(m - 1) // factorial(m - r)
-        for value, (even, odd) in zip(_fixed_point_free(m - r), _strip_moves(m - r, r)):
-            if value:
-                value *= ways
-                for j in even:
-                    out[j] += value
-                for j in odd:
-                    out[j] -= value
+        _add_times_p(out, _fixed_point_free(m - r), m - r, r, ways)
     return out
 
 
@@ -280,14 +258,10 @@ def _with_fixed_points(n: int) -> tuple[list[int], ...]:
         return ([1],)
     for w in range(1, n - 1):
         _with_fixed_points(w)  # smallest first: the recursion stays shallow
-    moves = _strip_moves(n - 1, 1)
     chain = [_fixed_point_free(n)]
     for below in _with_fixed_points(n - 1):
         out = [0] * len(partitions_of(n))
-        for value, (up, _) in zip(below, moves):
-            if value:
-                for j in up:
-                    out[j] += value
+        _add_times_p(out, below, n - 1, 1)
         chain.append(out)
     return tuple(chain)
 
@@ -350,8 +324,7 @@ def character_table(n: int) -> CharacterTable:
     if n < 1:
         raise ValueError("n must be positive")
     ps = partitions_of(n)
-    rows = _table(n)
-    return CharacterTable(n, ps, tuple(rows[lam] for lam in ps))
+    return CharacterTable(n, ps, tuple(zip(*map(_column, ps))))
 
 
 def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:
@@ -360,8 +333,8 @@ def kron_coefficient(lam: Partition, mu: Partition, alpha: Partition) -> int:
     and the odd classes of ``_halves``, over n!.  The full table is not
     built."""
     n, (lam, mu, alpha) = check_same_weight(lam, mu, alpha)
-    index = _index(n)
-    rows = index[lam], index[mu], index[alpha]
+    index = _bead_index(n)
+    rows = [index[_beads(p)] for p in (lam, mu, alpha)]
     total = 0
     for sizes, values in _halves(n)[:2]:
         total += sum(map(prod, zip(sizes, *(values[i] for i in rows))))
@@ -377,8 +350,8 @@ def kron_product_via_characters(lam: Partition, mu: Partition) -> SchurSum:
     (e - o)/n! for alpha'."""
     n, (lam, mu) = check_same_weight(lam, mu)
     (even_sizes, even), (odd_sizes, odd), pairs = _halves(n)
-    index = _index(n)
-    i, j = index[lam], index[mu]
+    index = _bead_index(n)
+    i, j = index[_beads(lam)], index[_beads(mu)]
     weights_even = list(map(mul, map(mul, even_sizes, even[i]), even[j]))
     weights_odd = list(map(mul, map(mul, odd_sizes, odd[i]), odd[j]))
     order = factorial(n)
@@ -399,4 +372,10 @@ def kron_power_oracle(n: int, k: int) -> SchurSum:
     if k < 0:
         raise ValueError("k must be nonnegative")
     values, sums = _power_sums(n)
-    return _expand(n, [v**k for v in values], sums)
+    weights = [v**k for v in values]
+    order = factorial(n)
+    terms = {}
+    for alpha, row in zip(partitions_of(n), sums):
+        if coeff := _average(sum(map(mul, weights, row)), order):
+            terms[alpha] = coeff
+    return SchurSum(n, terms)

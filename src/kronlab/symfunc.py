@@ -146,7 +146,7 @@ def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
     tie, as in ``multiply``; so the skew by nu and the product by s_nu of
     the operator route read the same memo entries.
     """
-    gamma, alpha, mu = tuple(gamma), tuple(alpha), tuple(mu)
+    gamma, alpha, mu = check_partition(gamma), check_partition(alpha), check_partition(mu)
     g, a = weight(gamma), weight(alpha)
     if g + a != weight(mu):
         return 0
@@ -198,8 +198,6 @@ def _lattice_strips(
     Memoised across product pairs, and every stored shape and row count
     is the one ``_shared`` object equal to it.
     """
-    if not size:  # a zero part of an unchecked content places nothing
-        return ((shape, ()),)
     rows = len(shape)
     below = shape + (0,)
     freed = (last or ()) + (0,) * (rows + 1 - len(last or ()))
@@ -212,9 +210,7 @@ def _lattice_strips(
         # allow: labels i in rows < r minus labels i+1 placed in rows < r;
         # rows below r hold at most below[r] cells of a horizontal strip
         while not (most := min(left, allow, left if r == 0 else below[r - 1] - below[r])):
-            # row r takes no cell, so the rows below take them all
-            if left > below[r]:
-                return
+            # row r takes no cell; left <= below[r] as the content is a partition
             allow += freed[r]
             r += 1
         for k in range(most, max(0, left - below[r]) - 1, -1):

@@ -124,15 +124,6 @@ def test_kron_coefficient_reads_the_product_on_seeded_triples(n):
         assert kron_coefficient(lam, mu, alpha) == want, (lam, mu, alpha)
 
 
-def test_kron_coefficient_leaves_the_table_unbuilt():
-    characters._table.cache_clear()
-    for n in range(0, 13):
-        ps = partitions_of(n)
-        kron_product_via_characters(ps[0], ps[-1])
-        kron_coefficient(ps[-1], ps[len(ps) // 2], ps[len(ps) // 2])
-    assert characters._table.cache_info().currsize == 0
-
-
 def test_kron_coefficient_square_of_31():
     for alpha, want in [
         ((4,), 1),
@@ -386,6 +377,25 @@ def test_character_value_of_a_long_cycle_type():
     assert character_value((2000,), (1,) * 2000) == 1
 
 
+@pytest.mark.parametrize("total", range(1, 13))
+def test_the_kernel_adds_scale_times_p_r_into_out(total):
+    # every w + r = total: a seeded vector times p_r, scaled, added to a
+    # vector already holding values, against the spliced strips
+    rng = random.Random(2600 + total)
+    index = {lam: i for i, lam in enumerate(partitions_of(total))}
+    for r in range(1, total + 1):
+        w = total - r
+        vec = [rng.randint(-9, 9) for _ in partitions_of(w)]
+        out = [rng.randint(-9, 9) for _ in partitions_of(total)]
+        scale = rng.choice([-3, 2, 7])
+        want = list(out)
+        for lam, value in zip(partitions_of(w), vec):
+            for shape, sign in border_strips(lam, r):
+                want[index[shape]] += scale * sign * value
+        characters._add_times_p(out, vec, w, r, scale)
+        assert out == want, (w, r, scale)
+
+
 @pytest.mark.parametrize("total", range(1, 17))
 def test_strip_moves_match_the_splicing_oracle(total):
     # every w + r = total: the targets and signs, as a multiset per source
@@ -414,13 +424,20 @@ def test_character_value_leaves_the_strip_memo_alone():
 
 
 def test_a_table_builds_only_the_columns_of_its_suffixes():
-    characters._table.cache_clear()
     characters._column.cache_clear()
-    characters._table(12)
+    character_table(12)
     suffixes = {mu[i:] for mu in partitions_of(12) for i in range(len(mu) + 1)}
     assert characters._column.cache_info().currsize == len(suffixes) < sum(
         len(partitions_of(w)) for w in range(13)
     )
+
+
+def test_a_second_table_builds_no_column():
+    characters._column.cache_clear()
+    first = character_table(12)
+    built = characters._column.cache_info().misses
+    assert character_table(12) == first
+    assert characters._column.cache_info().misses == built
 
 
 def _frames_left(depth=0):
@@ -516,12 +533,3 @@ def test_a_product_averages_each_irreducible_once(monkeypatch, n):
         averaged.clear()
         kron_product_via_characters(lam, lam)
         assert len(averaged) == len(partitions_of(n)), lam
-
-
-def test_a_product_leaves_the_table_unbuilt():
-    characters._table.cache_clear()
-    for n in range(0, 13):
-        ps = partitions_of(n)
-        kron_product_via_characters(ps[0], ps[-1])
-        kron_product_via_characters(ps[len(ps) // 2], ps[len(ps) // 2])
-    assert characters._table.cache_info().currsize == 0

@@ -6,7 +6,7 @@ from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import TruncatedEGF, multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import parse_partition, partitions_of
-from kronlab.symfunc import SchurSum, multiply, perp
+from kronlab.symfunc import SchurSum, lr_coefficient, multiply, perp
 from kronlab.tableaux import (
     BijectionError,
     DecCyclePermutation,
@@ -35,6 +35,16 @@ CASES = {
     ),
     "multiply-non-partition": (
         lambda: multiply(SchurSum(1, {(1, 0): 1}), SchurSum.schur((1,))),
+        ValueError,
+        "not a partition",
+    ),
+    "lr-coefficient-zero-part": (
+        lambda: lr_coefficient((1,), (1, 0), (1, 1)),
+        ValueError,
+        "not a partition",
+    ),
+    "lr-coefficient-unsorted": (
+        lambda: lr_coefficient((1,), (2, 0, 1), (2, 1, 1)),
         ValueError,
         "not a partition",
     ),
