@@ -30,12 +30,12 @@ Each irreducible's values are one row of the table of its weight.
 rows; the products read the columns through the halves below, and the
 powers read none.  The memos are the position of each bead mask, the
 strip moves, the columns, the halves, and the class sums of the powers
-(``_fixed_point_free``, ``_with_fixed_points``, ``_power_sums``); none
-holds a copy of another.  A single value is one sweep over the parts of
-mu with the same bead moves, keeping only the shapes that fit inside
-lam, so it expands no column and does not use the dense kernel.  Every
-route is one exact inner product of rows: the sum over classes of class
-size times the product of the values, divided by n!.
+(``_power_sums``); none holds a copy of another.  A single value is one
+sweep over the parts of mu with the same bead moves, keeping only the
+shapes that fit inside lam, so it expands no column and does not use the
+dense kernel.  Every route is one exact inner product of rows: the sum
+over classes of class size times the product of the values, divided by
+n!.
 
 A product is projected onto the irreducibles one conjugate pair at a
 time.  The classes split by the parity of n - len(rho), the sign of a
@@ -49,16 +49,17 @@ and a product never builds the full table.
 
 The powers of chi^(n-1,1) skip the projection and the columns.  That row
 is one less than the number of fixed points j of the class, so
-<(chi^(n-1,1))^k, chi^alpha> = (1/n!) sum_j (j-1)^k W_alpha(j-1), where
-W_alpha(j-1) sums class size times chi^alpha over the classes with j
-fixed points (Macdonald I.7).  Summed over those classes, size times p
-is C(n, j) p_1^j E_(n-j), with E_m the same sum over the classes of m
-with no fixed point, and E_m follows the cycle-index recurrence
-(Macdonald I.2) by the strips of every size r >= 2.  The sums W depend
-on n only: they are built once per n, from E and a chain of strips of
-size 1, with no column of the table (0 of the 508 columns of weight up
-to 14), and each power then costs one dot product of length at most n
-per irreducible.
+<(chi^(n-1,1))^k, chi^alpha> = (1/n!) sum_j (j-1)^k W_alpha(j), where
+W_alpha(j) sums class size times chi^alpha over the classes with j fixed
+points (Macdonald I.7).  Summed over those classes, size times p is
+C(n, j) p_1^j E_(n-j), with E_m the same sum over the classes of m with no
+fixed point, and E_m follows the cycle-index recurrence (Macdonald I.2) by
+the strips of every size r >= 2.  One memo per n, ``_power_sums``, holds
+p_1^j E_(n-j) for j = 0..n, unscaled: E_n from entry 0 of every smaller
+weight, and each j >= 1 by the strips of size 1 from entry j-1 of n-1.  It
+builds no column of the table (0 of the 508 columns of weight up to 14),
+and each power then costs one dot product of length n + 1 per
+irreducible, with the weights C(n, j) (j-1)^k.
 """
 
 from __future__ import annotations
@@ -232,58 +233,33 @@ def _halves(n: int) -> tuple[_Half, _Half, list[tuple[Partition, Partition, int]
 
 
 @cache
-def _fixed_point_free(m: int) -> list[int]:
-    """E_m, the sum of |C_sigma| p_sigma over the classes sigma of m with no
-    part 1, as a dense Schur expansion over the partitions of m.  The cycle
-    through the last point has length r >= 2 and (m-1)!/(m-r)! choices, so
-    E_m = sum_r (m-1)!/(m-r)! p_r E_(m-r) (Macdonald I.2), each p_r one pass
-    of the strips of size r.  Shared, so callers only read it."""
-    if m == 0:
-        return [1]
-    for w in range(2, m - 1):
-        _fixed_point_free(w)  # smallest first: the recursion stays shallow
-    out = [0] * len(partitions_of(m))
-    for r in range(2, m + 1):
-        ways = factorial(m - 1) // factorial(m - r)
-        _add_times_p(out, _fixed_point_free(m - r), m - r, r, ways)
-    return out
+def _power_sums(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each irreducible alpha, in ``partitions_of(n)`` order, the
+    coefficient of s_alpha in p_1^j E_(n-j) for j = 0..n, E_m the sum of
+    |C_sigma| p_sigma over the classes sigma of m with no part 1.  Shared,
+    so callers only read it.
 
-
-@cache
-def _with_fixed_points(n: int) -> tuple[list[int], ...]:
-    """p_1^j E_(n-j) for j = 0..n, each a dense Schur expansion over the
-    partitions of n: E_n, then p_1 times each entry of n-1's chain, one
-    pass of the strips of size 1.  Shared, so callers only read it."""
+    Entry 0 is E_n.  The cycle through the last point has length r >= 2
+    and (n-1)!/(n-r)! choices, so E_n = sum_r (n-1)!/(n-r)! p_r E_(n-r)
+    (Macdonald I.2), each p_r one pass of the strips of size r over entry 0
+    of n-r.  Entry j >= 1 is p_1 times entry j-1 of n-1, one pass of the
+    strips of size 1.  Entry n-1 is 0, as E_1 is."""
     if n == 0:
-        return ([1],)
+        return ((1,),)
     for w in range(1, n - 1):
-        _with_fixed_points(w)  # smallest first: the recursion stays shallow
-    chain = [_fixed_point_free(n)]
-    for below in _with_fixed_points(n - 1):
-        out = [0] * len(partitions_of(n))
+        _power_sums(w)  # smallest first: the recursion stays shallow
+    size = len(partitions_of(n))
+    fixed_point_free = [0] * size
+    for r in range(2, n + 1):
+        ways = factorial(n - 1) // factorial(n - r)
+        below = [row[0] for row in _power_sums(n - r)]
+        _add_times_p(fixed_point_free, below, n - r, r, ways)
+    chain = [fixed_point_free]
+    for below in zip(*_power_sums(n - 1)):
+        out = [0] * size
         _add_times_p(out, below, n - 1, 1)
         chain.append(out)
-    return tuple(chain)
-
-
-@cache
-def _power_sums(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The distinct values v of the table's row of (n-1,1), ascending, and
-    for each irreducible alpha, in ``partitions_of(n)`` order, the sums
-    W_alpha(v) of class size times chi^alpha over the classes where that
-    row equals v.  Shared, so callers only read it.
-
-    On a class the row is its number j of fixed points minus 1.  The
-    classes with j fixed points are sigma + 1^j, sigma a class of n - j
-    with no part 1, of size C(n, j)|C_sigma|, and p_(sigma + 1^j) is
-    p_1^j p_sigma.  So W(j-1) is C(n, j) p_1^j E_(n-j), read off
-    ``_with_fixed_points`` with no column of the table; j = n-1 has no
-    class, as every partition of 1 has a part 1.  Every power at n is then
-    one dot product of length at most n per irreducible."""
-    js = [j for j in range(n + 1) if j != n - 1]
-    chain = _with_fixed_points(n)
-    sums = [[comb(n, j) * w for w in chain[j]] for j in js]
-    return tuple(j - 1 for j in js), tuple(zip(*sums))
+    return tuple(zip(*chain))
 
 
 class CharacterTable(Record):
@@ -365,17 +341,22 @@ def kron_product_via_characters(lam: Partition, mu: Partition) -> SchurSum:
 
 
 def kron_power_oracle(n: int, k: int) -> SchurSum:
-    """k-th pointwise power of the (n-1,1) character, expanded in Schur terms."""
+    """k-th pointwise power of the (n-1,1) character, expanded in Schur terms.
+
+    The classes with j fixed points are sigma + 1^j, sigma a class of n - j
+    with no part 1, of size C(n, j)|C_sigma|, and the row of (n-1,1) is
+    j - 1 on them.  So s_alpha gets the sum over j of C(n, j) (j-1)^k times
+    entry j of alpha's ``_power_sums`` row, over n!: one dot product of
+    length n + 1 per irreducible."""
     if n < 2:
         raise ValueError("n must be at least 2")
     k = index(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    values, sums = _power_sums(n)
-    weights = [v**k for v in values]
+    weights = [comb(n, j) * (j - 1) ** k for j in range(n + 1)]
     order = factorial(n)
     terms = {}
-    for alpha, row in zip(partitions_of(n), sums):
+    for alpha, row in zip(partitions_of(n), _power_sums(n)):
         if coeff := _average(sum(map(mul, weights, row)), order):
             terms[alpha] = coeff
     return SchurSum(n, terms)

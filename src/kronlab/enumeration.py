@@ -80,7 +80,7 @@ def multiplicity_formula(n: int, k: int, lam: Partition) -> int:
     splits the rest into blocks of size >= 2 and selects which block
     maxima label cells.
     """
-    lam = check_partition(lam)
+    n, k, lam = index(n), index(k), check_partition(lam)
     if weight(lam) != n:
         raise ValueError(f"lam must be a partition of {n}")
     if k < 0:

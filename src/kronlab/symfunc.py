@@ -351,7 +351,10 @@ def skew_then_multiply(
     Applied collected (``_Collected``): f is skewed once by each b that
     leaves something, the skews are gathered per a, and each gathered sum
     is multiplied by s_a once.  The identity term is added directly.
+    Every term of f must be a partition.
     """
+    for p in f.terms:
+        check_partition(p)
     op = _collected(terms if isinstance(terms, tuple) else tuple(terms))
     result = {p: op.identity * c for p, c in f.terms.items()} if op.identity else {}
     gathered: dict[Partition, dict[Partition, int]] = {}

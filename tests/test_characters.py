@@ -2,7 +2,7 @@ import random
 import sys
 from collections import Counter
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -203,21 +203,26 @@ def test_kron_power_oracle_at_a_large_power():
 def test_power_sums_group_the_table_by_the_value_of_the_standard_row(n):
     table = character_table(n)
     standard = table.values[table.partitions.index((n - 1, 1))]
-    values, sums = characters._power_sums(n)
-    assert values == tuple(sorted(set(standard)))
+    fixed_points = [gamma.count(1) for gamma in table.partitions]
+    # the standard row is one less than the number of fixed points
+    assert list(standard) == [j - 1 for j in fixed_points]
+    sums = characters._power_sums(n)
     assert len(sums) == len(table.partitions)
     for row, w in zip(table.values, sums):
-        by_value = dict.fromkeys(values, 0)
-        for gamma, chi, v in zip(table.partitions, row, standard):
-            by_value[v] += class_size(gamma) * chi
-        assert w == tuple(by_value.values())
+        by_fixed_points = [0] * (n + 1)
+        for gamma, chi, j in zip(table.partitions, row, fixed_points):
+            by_fixed_points[j] += class_size(gamma) * chi
+        assert [comb(n, j) * e for j, e in enumerate(w)] == by_fixed_points
+        assert w[n - 1] == 0
 
 
 def test_a_k_sweep_builds_the_power_sums_once():
     characters._power_sums.cache_clear()
     for k in range(13):
         kron_power_oracle(11, k)
-    assert characters._power_sums.cache_info().misses == 1
+    # one build per weight 0..11, each read from the memo afterwards
+    info = characters._power_sums.cache_info()
+    assert info.misses == info.currsize == 12
 
 
 def test_kron_power_oracle_matches_walk_counts_at_n20():
@@ -234,8 +239,6 @@ def test_kron_power_oracle_counts_every_dimension_at_n24():
 def test_a_power_builds_no_column_of_the_table():
     for memo in (
         characters._power_sums,
-        characters._with_fixed_points,
-        characters._fixed_point_free,
         characters._column,
     ):
         memo.cache_clear()
@@ -244,11 +247,11 @@ def test_a_power_builds_no_column_of_the_table():
 
 
 def test_a_corrupted_power_sum_raises(monkeypatch):
-    values, sums = characters._power_sums(5)
-    # one more in W_(5)(4) adds 4**3 = 64 to the total for s_(5), which
-    # 5! = 120 does not divide
+    sums = characters._power_sums(5)
+    # one more in s_(5)'s entry j = 5 adds C(5, 5) 4**3 = 64 to its total,
+    # which 5! = 120 does not divide
     corrupted = ((*sums[0][:-1], sums[0][-1] + 1), *sums[1:])
-    monkeypatch.setattr(characters, "_power_sums", lambda n: (values, corrupted))
+    monkeypatch.setattr(characters, "_power_sums", lambda n: corrupted)
     with pytest.raises(ArithmeticError, match="non-integral multiplicity"):
         kron_power_oracle(5, 3)
 

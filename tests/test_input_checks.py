@@ -6,7 +6,13 @@ from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import TruncatedEGF, multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import parse_partition, partitions_of
-from kronlab.symfunc import SchurSum, lr_coefficient, multiply, perp
+from kronlab.symfunc import (
+    SchurSum,
+    lr_coefficient,
+    multiply,
+    perp,
+    skew_then_multiply,
+)
 from kronlab.tableaux import (
     BijectionError,
     DecCyclePermutation,
@@ -53,6 +59,16 @@ CASES = {
         ValueError,
         "not a partition",
     ),
+    "skew-then-multiply-non-partition": (
+        lambda: skew_then_multiply(((1, ((1,),)),), SchurSum(2, {(0, 2): 1})),
+        ValueError,
+        "not a partition",
+    ),
+    "skew-then-multiply-identity-non-partition": (
+        lambda: skew_then_multiply(((2, ()),), SchurSum(2, {(0, 2): 1})),
+        ValueError,
+        "not a partition",
+    ),
     "schur-sum-immutable": (
         lambda: setattr(SchurSum.schur((1,)), "degree", 2),
         AttributeError,
@@ -78,6 +94,11 @@ CASES = {
         lambda: multiplicity_formula(4, -1, (4,)),
         ValueError,
         "nonnegative",
+    ),
+    "formula-float-n": (
+        lambda: multiplicity_formula(5.0, 2, (4, 1)),
+        TypeError,
+        "integer",
     ),
     "egf-no-coefficients": (lambda: TruncatedEGF([]), ValueError, "constant"),
     "tableau-mark-slots": (

@@ -1,6 +1,7 @@
 """Every memo of the package is listed here, by module: a new ``@cache``
-function needs a row, so each memo is named where it is added and the
-list stays the one place to register and clear them from.
+function, or a new module-level name bound to an empty ``{}``, needs a
+row, so each memo is named where it is added and the list stays the one
+place to register and clear them from.
 """
 
 import ast
@@ -15,8 +16,6 @@ MEMOS = {
         "_strip_moves",
         "_column",
         "_halves",
-        "_fixed_point_free",
-        "_with_fixed_points",
         "_power_sums",
     },
     "symfunc": {
@@ -31,6 +30,12 @@ MEMOS = {
     "partitions": {"partitions_of", "standard_tableaux_count"},
     "kron_ops": {"build_operator"},
     "tableaux": {"_steps"},
+}
+# module -> its module-level dicts that start empty and are filled as a memo
+DICT_MEMOS = {
+    "kron_ops": {"_powers"},
+    "symfunc": {"_shared"},
+    "tableaux": {"_endpoints"},
 }
 CACHES = {"cache", "lru_cache"}
 
@@ -55,6 +60,30 @@ def memoised(path: Path) -> set[str]:
     }
 
 
+def empty_dicts(path: Path) -> set[str]:
+    """The module-level names bound to an empty ``{}`` literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, ast.Dict) and not node.value.keys:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def by_module(names_of) -> dict[str, set[str]]:
+    found = {path.stem: names_of(path) for path in sorted(PACKAGE.glob("*.py"))}
+    return {module: names for module, names in found.items() if names}
+
+
 def test_every_memo_has_a_row():
-    found = {path.stem: memoised(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert {module: names for module, names in found.items() if names} == MEMOS
+    assert by_module(memoised) == MEMOS
+
+
+def test_every_dict_memo_has_a_row():
+    assert by_module(empty_dicts) == DICT_MEMOS

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from kronlab import _memo, characters, cli, kron_ops, tableaux
+from kronlab import _memo, characters, cli, enumeration, kron_ops, tableaux
 from kronlab.characters import kron_power_oracle
+from kronlab.enumeration import multiplicity_formula
 from kronlab.kron_ops import apply, build_operator, kron_power_nm1
 from kronlab.partitions import partitions_of
 from kronlab.symfunc import SchurSum
@@ -183,6 +184,7 @@ POWER_CALLS = {
     "count": lambda k: count_kronecker_tableaux((5,), (3, 2), k),
     "walks-n1": lambda k: walk_counts((1,), k),
     "count-n0": lambda k: count_kronecker_tableaux((), (), k),
+    "formula": lambda k: multiplicity_formula(5, k, (4, 1)),
 }
 
 
@@ -191,6 +193,7 @@ POWER_CALLS = {
 def test_a_power_that_is_not_an_integer_raises_on_a_cold_and_a_warm_memo(call, k):
     clear_memos()
     characters._power_sums.cache_clear()
+    enumeration._formula_sum.cache_clear()
     with pytest.raises(TypeError):
         POWER_CALLS[call](k)
     POWER_CALLS[call](2)
