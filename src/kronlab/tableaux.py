@@ -18,7 +18,10 @@ list and leaves the memo as it was.
 When the first row stays long enough (n >= k + second part of the final
 shape, ``partitions.bijection_regime_ok``) the walks biject with shorter
 walks started at the empty shape, and from there with pairs (T, pi) via
-RSK insertion and deletion.
+RSK insertion and deletion.  pi is built cycle by cycle: step i opens the
+cycle (i), and a step that RSK-deletes a corner, ejecting the label j,
+puts i at the head of j's cycle.  Each label of T heads its cycle, which
+is what lets ``from_pair`` unwind pi by cycle heads, from k down.
 """
 
 from __future__ import annotations
@@ -396,6 +399,9 @@ class DecCyclePermutation(Record):
         for cyc in self.cycles:
             if not cyc:
                 raise ValueError("empty cycle")
+            for x in cyc:
+                if not isinstance(x, int) or x < 1:
+                    raise ValueError(f"bad element {x!r}")
             if cyc[0] <= prev_max:
                 raise ValueError("cycles must be sorted by greatest element")
             prev_max = cyc[0]
@@ -418,40 +424,6 @@ class DecCyclePermutation(Record):
     def cycle_maxima(self) -> frozenset[int]:
         return frozenset(c[0] for c in self.cycles)
 
-    def to_mapping(self, k: int) -> list[int]:
-        """Image array indexed 1..k (index 0 unused)."""
-        if self.support != frozenset(range(1, k + 1)):
-            raise ValueError(f"not a permutation of 1..{k}")
-        out = list(range(k + 1))
-        for cyc in self.cycles:
-            for a, b in zip(cyc, cyc[1:]):
-                out[a] = b
-            out[cyc[-1]] = cyc[0]
-        return out
-
-    @classmethod
-    def from_mapping(cls, mapping: list[int]) -> "DecCyclePermutation":
-        """Build from an image array (index 0 ignored); rejects mappings
-        that are not permutations of 1..k or have a non-decreasing cycle."""
-        k = len(mapping) - 1
-        if sorted(mapping[1:]) != list(range(1, k + 1)):
-            raise ValueError(f"not a permutation of 1..{k}")
-        seen = set()
-        cycles = []
-        for start in range(1, k + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = mapping[start]
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = mapping[x]
-            top = cyc.index(max(cyc))
-            cycles.append(tuple(cyc[top:] + cyc[:top]))
-        return cls(tuple(sorted(cycles)))
-
     def __str__(self) -> str:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles)
 
@@ -460,36 +432,32 @@ class DecCyclePermutation(Record):
 # the walk <-> pair correspondence
 
 
-def _swap(pi: list[int], inv: list[int], i: int, j: int) -> None:
-    """Exchange the values i and j of the permutation pi, whose inverse is
-    inv: compose pi with the transposition (i, j) on the left."""
-    xi, xj = inv[i], inv[j]
-    pi[xi], pi[xj] = j, i
-    inv[i], inv[j] = xj, xi
-
-
 def to_pair(
     K: KroneckerTableau, n: int, k: int, require_regime: bool = True
 ) -> tuple[PartialStandardTableau, DecCyclePermutation]:
     """Encode a walk started at (n) as a pair (T, pi).
 
-    Walk the stripped shapes; step i RSK-deletes the corner it vacates,
-    if any, and records the transposition (i, ejected label), then writes
-    i into the cell it fills, if any (a stay vacates and refills its
-    marked corner)."""
+    Walk the stripped shapes; step i opens the cycle (i).  If it vacates a
+    corner, it RSK-deletes that corner, and i goes to the head of the
+    cycle of the ejected label j.  Then it writes i into the cell it fills,
+    if any (a stay vacates and refills its marked corner).  Each label of
+    T heads its cycle and i exceeds them all, so j's cycle is keyed by j
+    and i heads the joined cycle; the cycles are built by increasing head.
+    """
+    k = index(k)
     walk = strip_first_row(K, n, k, require_regime)
     T = PartialStandardTableau.empty()
-    pi = list(range(k + 1))
-    inv = list(range(k + 1))
+    cycles: dict[int, tuple[int, ...]] = {}  # head (greatest element) -> cycle
     steps = zip(walk.shapes, walk.shapes[1:], walk.marks)
     for i, step in enumerate(steps, 1):
         vacated, filled = _step_cells(*step)
+        cycles[i] = (i,)
         if vacated is not None:
             T, j = rsk_delete(T, vacated)  # every label of T is below i
-            _swap(pi, inv, i, j)
+            cycles[i] += cycles.pop(j)
         if filled is not None:
             T = _place_label(T, filled, i)
-    return T, DecCyclePermutation.from_mapping(pi)
+    return T, DecCyclePermutation(tuple(cycles.values()))
 
 
 def from_pair(
@@ -501,13 +469,18 @@ def from_pair(
 ) -> KroneckerTableau:
     """Rebuild the walk from a pair (T, pi); exact inverse of to_pair.
 
-    to_pair run backwards: for i from k down to 1, every label of T is at
-    most i, so a label i is the largest and sits on a corner, the cell
-    step i filled; erase it.  If pi(i) = j < i, step i vacated a corner
-    and ejected j: undo the transposition (i, j) and RSK-insert j, which
-    re-creates that corner.  The step was a stay, marked at the erased
-    cell, exactly when the shape comes back.
+    to_pair run backwards: for i from k down to 1, every label of T and
+    every element left in pi is at most i, so a label i is the largest
+    and sits on a corner, the cell step i filled; erase it.  And i heads
+    its cycle: pop that cycle.  If more is left, step i vacated a corner
+    and ejected the next element j; the rest of the cycle is keyed by j,
+    which heads it again, and RSK-inserting j re-creates that corner.  The
+    step was a stay, marked at the erased cell, exactly when the shape
+    comes back.
     """
+    n, k = index(n), index(k)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     support = frozenset(range(1, k + 1))
     if pi.support != support:
         raise BijectionError(f"pi must be a permutation of 1..{k}")
@@ -518,10 +491,7 @@ def from_pair(
     if not T.labels <= pi.cycle_maxima:
         raise BijectionError("every label must be the greatest of its cycle")
 
-    mapping = pi.to_mapping(k)
-    inv = [0] * (k + 1)
-    for x in range(1, k + 1):
-        inv[mapping[x]] = x
+    cycles = {cyc[0]: cyc for cyc in pi.cycles}
     shapes: list[Partition] = [T.shape]
     marks: list[Cell | None] = []
     for i in range(k, 0, -1):
@@ -529,10 +499,10 @@ def from_pair(
         if filled is not None:
             rows = (tuple(x for x in row if x != i) for row in T.rows)
             T = PartialStandardTableau(tuple(filter(None, rows)))
-        j = mapping[i]
-        if j < i:
-            _swap(mapping, inv, i, j)
-            T = rsk_insert(T, j)
+        rest = cycles.pop(i)[1:]
+        if rest:
+            cycles[rest[0]] = rest
+            T = rsk_insert(T, rest[0])
         marks.append(filled if T.shape == shapes[-1] else None)
         shapes.append(T.shape)
     walk = ReducedWalk(tuple(reversed(shapes)), tuple(reversed(marks)))

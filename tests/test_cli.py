@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -199,6 +200,34 @@ def test_readme_cli_block_runs(tmp_path, capsys):
         code, out, err = run(capsys, *args)
         assert (code, err) == (0, ""), args
         assert out
+
+
+def readme_python_blocks():
+    """The source of every ```python block of README, in order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+
+
+def test_readme_python_blocks_run():
+    """Every Python block of README runs in a fresh namespace.  An
+    expression statement directly followed by a comment line shows its
+    value there, as the interpreter prompt would print it."""
+    blocks = readme_python_blocks()
+    assert len(blocks) == 3
+    shown = []
+    for block in blocks:
+        namespace: dict = {}
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            after = lines[stmt.end_lineno] if stmt.end_lineno < len(lines) else ""
+            if after.startswith("# "):
+                assert repr(value) == after[2:]
+                shown.append(after[2:])
+    assert shown == ["s[4] + s[3, 1] + s[2, 2] + s[2, 1, 1]", "[0, 3, 4, 1, 2]"]
 
 
 def test_bijection_from_stdin(capsys, monkeypatch):

@@ -162,20 +162,20 @@ CASES = {
         ValueError,
         "disjoint",
     ),
-    "to-mapping-support": (
-        lambda: DecCyclePermutation(((2, 1),)).to_mapping(3),
+    "cycle-element-not-int": (
+        lambda: DecCyclePermutation(((2.5, 1),)),
         ValueError,
-        "not a permutation of 1..3",
+        "bad element 2.5",
     ),
-    "from-mapping-repeated-image": (
-        lambda: DecCyclePermutation.from_mapping([0, 2, 2]),
+    "cycle-element-str": (
+        lambda: DecCyclePermutation(((3, "a"),)),
         ValueError,
-        "not a permutation of 1..2",
+        "bad element 'a'",
     ),
-    "from-mapping-image-out-of-range": (
-        lambda: DecCyclePermutation.from_mapping([0, 2, 1, 7]),
+    "cycle-element-zero": (
+        lambda: DecCyclePermutation(((0,),)),
         ValueError,
-        "not a permutation of 1..3",
+        "bad element 0",
     ),
     "from-pair-labels": (
         lambda: from_pair(
@@ -183,6 +183,13 @@ CASES = {
         ),
         BijectionError,
         "labels must lie in 1..k",
+    ),
+    "from-pair-negative-k": (
+        lambda: from_pair(
+            PartialStandardTableau.empty(), DecCyclePermutation(()), 5, -1
+        ),
+        ValueError,
+        "k must be nonnegative",
     ),
     "parse-walk-empty": (lambda: parse_walk("  "), ValueError, "empty walk line"),
     "parse-walk-mark-suffix": (

@@ -369,9 +369,6 @@ def test_dec_cycle_permutation_validation():
         DecCyclePermutation(((2, 3),))  # not greatest-first
     with pytest.raises(ValueError):
         DecCyclePermutation(((3, 1), (3,)))  # overlap
-    pi = DecCyclePermutation(((3, 1), (4, 2)))
-    assert pi.to_mapping(4) == [0, 3, 4, 1, 2]
-    assert DecCyclePermutation.from_mapping([0, 3, 4, 1, 2]) == pi
 
 
 def test_partial_standard_tableau_validation():
