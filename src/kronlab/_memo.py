@@ -1,7 +1,7 @@
 """The memo rule of the iterated powers: the operator and walk routes each
 keep the k-th iterate of their step in their own dict under (start, k)."""
 
-from operator import index
+from .partitions import check_count
 
 # every step up to this is kept once taken, and past it only the k asked
 # for, so one long power keeps one value of big coefficients, not thousands
@@ -15,11 +15,9 @@ def iterate(memo: dict, start, first, step, k: int):
     sweep over k <= K <= 64, in any order, costs K steps.  The stored
     values are shared, so callers only read them.  A k that is not an
     integer raises ``TypeError``, before the memo is read."""
-    k = index(k)
+    k = check_count(k)
     if (value := memo.get((start, k))) is not None:
         return value
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     for done in range(k - 1, 0, -1):
         if (value := memo.get((start, done))) is not None:
             break

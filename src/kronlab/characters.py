@@ -66,11 +66,12 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb, factorial, prod
-from operator import index, mul
+from operator import mul
 
 from ._record import Record
 from .partitions import (
     Partition,
+    check_count,
     check_same_weight,
     class_size,
     conjugate,
@@ -297,8 +298,7 @@ class CharacterTable(Record):
 
 def character_table(n: int) -> CharacterTable:
     """Full character table of the symmetric group on n letters."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = check_count(n, "n", 1)
     ps = partitions_of(n)
     return CharacterTable(n, ps, tuple(zip(*map(_column, ps))))
 
@@ -348,11 +348,7 @@ def kron_power_oracle(n: int, k: int) -> SchurSum:
     j - 1 on them.  So s_alpha gets the sum over j of C(n, j) (j-1)^k times
     entry j of alpha's ``_power_sums`` row, over n!: one dot product of
     length n + 1 per irreducible."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    k = index(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    n, k = check_count(n, "n", 2), check_count(k)
     weights = [comb(n, j) * (j - 1) ** k for j in range(n + 1)]
     order = factorial(n)
     terms = {}

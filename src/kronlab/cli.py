@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import characters, enumeration, kron_ops, symfunc, tableaux
-from .partitions import parse_partition, weight
+from .partitions import check_count, check_same_weight, parse_partition, weight
 
 SCHEMA = "kronlab/1"
 
@@ -97,20 +97,15 @@ def _limit(**caps: int) -> tableaux.EnumerationLimitError:
 
 def _check_power_args(args) -> None:
     """Raise for an (n, k) that may not run."""
-    if args.n < 2:
-        raise ValueError("n must be at least 2")
+    check_count(args.n, "n", 2)
     if args.n > args.max_n or args.k > args.max_k:
         raise _limit(n=args.max_n, k=args.max_k)
-    if args.k < 0:
-        raise ValueError("k must be nonnegative")
+    check_count(args.k)
 
 
 def cmd_kron(args) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    if weight(lam) != weight(mu):
-        raise ValueError(f"weight mismatch {lam} vs {mu}")
-    if weight(lam) > args.max_n:
+    n, (lam, mu) = check_same_weight(*map(parse_partition, (args.lam, args.mu)))
+    if n > args.max_n:
         raise _limit(n=args.max_n)
     return _emit_agreed(_run_routes("kron", args.method, lam, mu))
 
@@ -138,12 +133,9 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    mu = parse_partition(args.mu)
-    lam = parse_partition(args.lam)
-    if weight(mu) != weight(lam):
-        raise ValueError(f"weight mismatch {mu} vs {lam}")
-    if args.action == "list" and args.limit <= 0:
-        raise ValueError("--limit must be positive")
+    _, (mu, lam) = check_same_weight(*map(parse_partition, (args.mu, args.lam)))
+    if args.action == "list":
+        check_count(args.limit, "--limit", 1)
     if args.k > args.max_k:
         raise _limit(k=args.max_k)
     if args.action == "count":

@@ -12,16 +12,17 @@ it) is imported only where a coefficient a_k / k! is read.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 from math import comb, factorial
 from operator import add, index, sub
 
 from .partitions import (
     Partition,
+    _standard_tableaux_count,
     bijection_regime_ok,
+    check_count,
     check_partition,
-    standard_tableaux_count,
     weight,
 )
 
@@ -40,9 +41,11 @@ def _p2_rows(k: int):
         yield row
 
 
-@cache
+# typed, so 6.0 never finds the entry of 6 and always reaches the index
+@lru_cache(maxsize=None, typed=True)
 def p2(n: int, m: int) -> int:
     """Set partitions of an n-set into m blocks, every block of size >= 2."""
+    n, m = index(n), index(m)
     if n < 0 or m < 0 or n < 2 * m:
         return 0
     return next(islice(_p2_rows(n), m, None))[n]
@@ -80,18 +83,16 @@ def multiplicity_formula(n: int, k: int, lam: Partition) -> int:
     splits the rest into blocks of size >= 2 and selects which block
     maxima label cells.
     """
-    n, k, lam = index(n), index(k), check_partition(lam)
+    n, k, lam = index(n), check_count(k), check_partition(lam)
     if weight(lam) != n:
         raise ValueError(f"lam must be a partition of {n}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     if not bijection_regime_ok(n, k, lam):
         raise ValueError(
             f"formula regime requires n >= k + second part; "
             f"got n={n}, k={k}, lam={lam}"
         )
     ell = n - (lam[0] if lam else 0)  # cells of the truncated shape
-    return standard_tableaux_count(lam[1:]) * _formula_sum(k, ell)
+    return _standard_tableaux_count(lam[1:]) * _formula_sum(k, ell)
 
 
 def _pascal_rows(K: int):
@@ -150,8 +151,7 @@ class TruncatedEGF:
 
     def pow(self, e: int) -> "TruncatedEGF":
         """The e-th power by repeated squaring, about 2 log2(e) products."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
+        e = check_count(e, "exponent")
         out, square = TruncatedEGF.one(self.order), self
         while e:
             if e & 1:
@@ -176,15 +176,16 @@ class TruncatedEGF:
 
     @staticmethod
     def one(K: int) -> "TruncatedEGF":
-        return TruncatedEGF([1] + [0] * K)
+        return TruncatedEGF([1] + [0] * check_count(K, "order"))
 
     @staticmethod
     def x(K: int) -> "TruncatedEGF":
-        return TruncatedEGF([0, 1] + [0] * (K - 1)) if K >= 1 else TruncatedEGF([0])
+        K = check_count(K, "order")
+        return TruncatedEGF([0, 1] + [0] * (K - 1) if K else [0])
 
     @staticmethod
     def exp_x(K: int) -> "TruncatedEGF":
-        return TruncatedEGF([1] * (K + 1))
+        return TruncatedEGF([1] * (check_count(K, "order") + 1))
 
     def __repr__(self) -> str:
         return "TruncatedEGF(" + ", ".join(map(str, self.counts)) + ")"
@@ -209,7 +210,7 @@ def egf_rhs(lambda_bar: Partition, K: int) -> TruncatedEGF:
         raise ValueError(f"order {K} below the weight {ell} of {lambda_bar}")
     em1 = TruncatedEGF.exp_x(K) - TruncatedEGF.one(K)
     rhs = no_small_blocks_egf(K) * em1.pow(ell)
-    f, blocks = standard_tableaux_count(lambda_bar), factorial(ell)
+    f, blocks = _standard_tableaux_count(lambda_bar), factorial(ell)
     counts, rems = zip(*(divmod(f * a, blocks) for a in rhs.counts))
     if any(rems):
         raise ArithmeticError(f"a count is not divisible by {ell}!")
@@ -235,7 +236,7 @@ def egf_check(lambda_bar: Partition, K: int) -> list[dict]:
         for k in range(ell, K + 1):
             egf_count = series.counts[k]
             base = k + top
-            if base - ell < 1:  # the added part must be positive
+            if base - ell < 1:  # the added part is at least 1
                 base = ell + 1
             formula_counts = []
             for n_k in (base, base + 1):

@@ -42,6 +42,7 @@ from ._memo import iterate
 from ._record import Record
 from .partitions import (
     Partition,
+    check_count,
     check_partition,
     check_same_weight,
     conjugate,
@@ -123,7 +124,6 @@ _powers: dict[tuple[int, int], SchurSum] = {}
 def kron_power_nm1(n: int, k: int) -> SchurSum:
     """k-th Kronecker power of the (n-1,1) irreducible, by iterating the
     single-cell operator on the one-row Schur function (``_memo.iterate``)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = check_count(n, "n", 2)
     step = partial(apply, build_operator((1,)))
     return iterate(_powers, n, SchurSum.schur((n,)), step, k)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
-from operator import le
+from operator import index, le
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -49,15 +49,25 @@ def check_same_weight(*parts) -> tuple[int, list[Partition]]:
     n = weight(parts[0])
     for p in parts:
         if weight(p) != n:
-            raise ValueError("equal weights required")
+            raise ValueError(f"weight mismatch {parts[0]} vs {p}")
     return n, parts
 
 
-@cache
+def check_count(value, name: str = "k", least: int = 0) -> int:
+    """``value`` through ``operator.index``, held to be at least ``least``.
+    Every public integer argument is read here before any memo is."""
+    value = index(value)
+    if value < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {bound}")
+    return value
+
+
+# typed, so 4.0 never finds the entry of 4 and always reaches the check
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic order, (n) first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = check_count(n, "n")
     return tuple(partitions_inside((n,) * n, n))
 
 
@@ -191,9 +201,14 @@ def hooks(p: Partition) -> list[int]:
     ]
 
 
-@cache
 def standard_tableaux_count(p: Partition) -> int:
     """Number of standard fillings of shape p, by the hook length product."""
+    return _standard_tableaux_count(check_partition(p))
+
+
+@cache
+def _standard_tableaux_count(p: Partition) -> int:
+    """``standard_tableaux_count`` of a checked shape, memoised."""
     n = weight(p)
     count = factorial(n)
     for h in hooks(p):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cache
-from operator import index
 
 from ._memo import iterate
 from ._record import Record
@@ -36,6 +35,7 @@ from .partitions import (
     Cell,
     Partition,
     canonical_sort,
+    check_count,
     check_partition,
     check_same_weight,
     corners,
@@ -175,7 +175,7 @@ def _walk_endpoints(mu: Partition, k: int) -> dict[Partition, int]:
     """Number of length-k walks from mu to every shape they reach, by
     transfer-matrix steps over ``_steps`` (``_memo.iterate``).  The
     returned dict is shared, so callers only read it."""
-    if index(k) > 0 and not _steps(mu):
+    if not _steps(mu) and check_count(k):
         return {}  # n <= 1: no walk has a step; from n = 2 on none dies
     return iterate(_endpoints, mu, {mu: 1}, _step, k)
 
@@ -215,8 +215,9 @@ def list_kronecker_tableaux(
     lam of that length.  Raises EnumerationLimitError as soon as more than
     ``limit`` walks would be produced."""
     _, (mu, lam) = check_same_weight(mu, lam)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = check_count(k)
+    if limit is not None:
+        limit = check_count(limit, "limit")
     # reach[d]: the shapes with a walk of length d to lam; stepped here, so
     # the shared memo is left as it was
     reach = [{lam: 1}]
@@ -256,6 +257,7 @@ def strip_first_row(
     Outside the guaranteed regime the mechanical stripping may still
     succeed (pass require_regime=False to attempt it), but it is only a
     bijection when n >= k + second part of the final shape."""
+    n, k = check_count(n, "n"), check_count(k)
     if K.shapes[0] != (n,):
         raise ValueError("walk must start at the one-row shape (n)")
     if K.length != k:
@@ -272,6 +274,7 @@ def strip_first_row(
 
 def unstrip(w: ReducedWalk, n: int) -> KroneckerTableau:
     """Prepend a first row of length n - |shape| to every shape of w."""
+    n = check_count(n, "n")
     shapes = []
     for s in w.shapes:
         first = n - weight(s)
@@ -444,7 +447,6 @@ def to_pair(
     T heads its cycle and i exceeds them all, so j's cycle is keyed by j
     and i heads the joined cycle; the cycles are built by increasing head.
     """
-    k = index(k)
     walk = strip_first_row(K, n, k, require_regime)
     T = PartialStandardTableau.empty()
     cycles: dict[int, tuple[int, ...]] = {}  # head (greatest element) -> cycle
@@ -478,9 +480,7 @@ def from_pair(
     step was a stay, marked at the erased cell, exactly when the shape
     comes back.
     """
-    n, k = index(n), index(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    n, k = check_count(n, "n"), check_count(k)
     support = frozenset(range(1, k + 1))
     if pi.support != support:
         raise BijectionError(f"pi must be a permutation of 1..{k}")

@@ -92,7 +92,7 @@ def test_character_weight_mismatch_rejected():
     ],
 )
 def test_routes_reject_unequal_weights(route, args):
-    with pytest.raises(ValueError, match="equal weights"):
+    with pytest.raises(ValueError, match="weight mismatch"):
         route(*args)
 
 

@@ -119,17 +119,32 @@ CASES = {
     "count-weights": (
         lambda: count_kronecker_tableaux((3,), (2,), 1),
         ValueError,
-        "equal weights required",
+        "weight mismatch (3,) vs (2,)",
     ),
     "list-weights": (
         lambda: list_kronecker_tableaux((3,), (2,), 1),
         ValueError,
-        "equal weights required",
+        "weight mismatch (3,) vs (2,)",
     ),
     "list-negative-k": (
         lambda: list_kronecker_tableaux((3,), (2, 1), -1),
         ValueError,
         "nonnegative",
+    ),
+    "list-negative-limit": (
+        lambda: list_kronecker_tableaux((3,), (2, 1), 1, limit=-1),
+        ValueError,
+        "limit must be nonnegative",
+    ),
+    "egf-one-negative-order": (
+        lambda: TruncatedEGF.one(-1),
+        ValueError,
+        "order must be nonnegative",
+    ),
+    "strip-negative-k": (
+        lambda: strip_first_row(KroneckerTableau(((4,), (3, 1)), (None,)), 4, -1),
+        ValueError,
+        "k must be nonnegative",
     ),
     "strip-length": (
         lambda: strip_first_row(KroneckerTableau(((3,), (2, 1)), (None,)), 3, 2),

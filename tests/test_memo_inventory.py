@@ -27,7 +27,7 @@ MEMOS = {
         "_collected",
     },
     "enumeration": {"p2", "_formula_sum"},
-    "partitions": {"partitions_of", "standard_tableaux_count"},
+    "partitions": {"partitions_of", "_standard_tableaux_count"},
     "kron_ops": {"build_operator"},
     "tableaux": {"_steps"},
 }

@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from kronlab import partitions
 from kronlab.partitions import (
     add_corner_positions,
     canonical_sort,
@@ -201,6 +202,15 @@ def test_standard_tableaux_counts():
     assert standard_tableaux_count(()) == 1
     assert standard_tableaux_count((2, 1)) == 2
     assert standard_tableaux_count((2, 2, 2)) == 5
+
+
+def test_standard_tableaux_count_checks_its_shape_on_a_cold_and_a_warm_memo():
+    partitions._standard_tableaux_count.cache_clear()
+    with pytest.raises(ValueError, match="not a partition"):
+        standard_tableaux_count((2.0, 1))
+    assert standard_tableaux_count((2, 1)) == 2
+    with pytest.raises(ValueError, match="not a partition"):
+        standard_tableaux_count((2.0, 1))
 
 
 @pytest.mark.parametrize("n", range(0, 9))

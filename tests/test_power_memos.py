@@ -8,13 +8,22 @@ from fractions import Fraction
 
 import pytest
 
-from kronlab import _memo, characters, cli, enumeration, kron_ops, tableaux
+from kronlab import _memo, characters, cli, enumeration, kron_ops, partitions, tableaux
 from kronlab.characters import kron_power_oracle
-from kronlab.enumeration import multiplicity_formula
+from kronlab.enumeration import TruncatedEGF, multiplicity_formula, p2
 from kronlab.kron_ops import apply, build_operator, kron_power_nm1
 from kronlab.partitions import partitions_of
 from kronlab.symfunc import SchurSum
-from kronlab.tableaux import count_kronecker_tableaux, walk_counts
+from kronlab.tableaux import (
+    KroneckerTableau,
+    count_kronecker_tableaux,
+    from_pair,
+    list_kronecker_tableaux,
+    strip_first_row,
+    to_pair,
+    unstrip,
+    walk_counts,
+)
 
 from oracles import walk_count_recursive
 
@@ -177,14 +186,36 @@ def test_a_walk_with_no_step_is_not_carried_forward(monkeypatch):
     assert count_kronecker_tableaux((), (), 0) == 1
 
 
+# the one walk of length 2 from (2) back to (2), its stripped walk and pair
+WALK = KroneckerTableau(((2,), (1, 1), (2,)), (None, None))
+REDUCED = strip_first_row(WALK, 2, 2)
+PAIR = to_pair(WALK, 2, 2)
+
+# each call reads its argument k, a count that 2 satisfies
 POWER_CALLS = {
     "characters": lambda k: kron_power_oracle(5, k),
     "operator": lambda k: kron_power_nm1(5, k),
+    "operator-n": lambda n: kron_power_nm1(n, 2),
     "walks": lambda k: walk_counts((5,), k),
     "count": lambda k: count_kronecker_tableaux((5,), (3, 2), k),
     "walks-n1": lambda k: walk_counts((1,), k),
     "count-n0": lambda k: count_kronecker_tableaux((), (), k),
     "formula": lambda k: multiplicity_formula(5, k, (4, 1)),
+    "p2-n": lambda n: p2(n, 1),
+    "p2-m": lambda m: p2(6, m),
+    "partitions-of": partitions_of,
+    "to-pair-n": lambda n: to_pair(WALK, n, 2),
+    "to-pair-k": lambda k: to_pair(WALK, 2, k),
+    "strip-n": lambda n: strip_first_row(WALK, n, 2),
+    "strip-k": lambda k: strip_first_row(WALK, 2, k),
+    "unstrip-n": lambda n: unstrip(REDUCED, n),
+    "from-pair-n": lambda n: from_pair(*PAIR, n, 2),
+    "list-k": lambda k: list_kronecker_tableaux((2,), (2,), k),
+    "list-limit": lambda limit: list_kronecker_tableaux((2,), (2,), 2, limit=limit),
+    "pow": lambda e: TruncatedEGF.exp_x(3).pow(e),
+    "one": TruncatedEGF.one,
+    "x": TruncatedEGF.x,
+    "exp-x": TruncatedEGF.exp_x,
 }
 
 
@@ -194,6 +225,8 @@ def test_a_power_that_is_not_an_integer_raises_on_a_cold_and_a_warm_memo(call, k
     clear_memos()
     characters._power_sums.cache_clear()
     enumeration._formula_sum.cache_clear()
+    enumeration.p2.cache_clear()
+    partitions.partitions_of.cache_clear()
     with pytest.raises(TypeError):
         POWER_CALLS[call](k)
     POWER_CALLS[call](2)

@@ -22,7 +22,7 @@ SHARED = {"partitions": ANY, "_record": ANY, "_memo": ANY, "symfunc": {"SchurSum
 ALLOWED = {
     "partitions": {},
     "_record": {},
-    "_memo": {},
+    "_memo": {"partitions": {"check_count"}},
     "symfunc": {"partitions": ANY},
     "characters": SHARED,
     "tableaux": SHARED,
