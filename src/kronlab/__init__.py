@@ -6,14 +6,12 @@ from .partitions import (
     Cell,
     CornerSet,
     Partition,
-    add_corner_positions,
     bijection_regime_ok,
     class_size,
     corners,
     format_partition,
     parse_partition,
     partitions_of,
-    remove_corner,
     standard_tableaux_count,
     weight,
 )

@@ -45,6 +45,7 @@ from .partitions import (
     check_count,
     check_partition,
     check_same_weight,
+    checked_front,
     conjugate,
     partitions_of,
     weight,
@@ -79,12 +80,8 @@ def _term_key(nus: tuple[Partition, ...]):
 
 
 @cache
-def build_operator(lambda_bar: Partition) -> KroneckerOperator:
-    """Merged operator for the partitions whose tail is lambda_bar.
-
-    The empty tail gives the identity (trivial factor leaves everything
-    unchanged)."""
-    lambda_bar = check_partition(lambda_bar)
+def _build_operator(lambda_bar: Partition) -> KroneckerOperator:
+    """``build_operator`` of a checked partition, memoised."""
     # Jacobi-Trudi matrix of lambda_bar with a row of ones (h_0) on top
     m = len(lambda_bar) + 1
     matrix = [[0] * m] + [
@@ -95,6 +92,16 @@ def build_operator(lambda_bar: Partition) -> KroneckerOperator:
         for nus in iproduct(*(partitions_of(part) for part in alpha)):
             terms.append((coeff, nus))
     return KroneckerOperator(tuple(terms)).normalize()
+
+
+@checked_front(_build_operator)
+def build_operator(lambda_bar: Partition) -> KroneckerOperator:
+    """Merged operator for the partitions whose tail is lambda_bar.
+
+    The empty tail gives the identity (trivial factor leaves everything
+    unchanged).  The tail is checked before the memo, ``_build_operator``,
+    is read."""
+    return _build_operator(check_partition(lambda_bar))
 
 
 def apply(op: KroneckerOperator, f: SchurSum) -> SchurSum:

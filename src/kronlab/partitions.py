@@ -9,7 +9,6 @@ convention: row 1 is the bottom (longest) row, rows and columns are
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import cache, lru_cache
 from math import factorial
 from operator import index, le
@@ -63,6 +62,20 @@ def check_count(value, name: str = "k", least: int = 0) -> int:
     return value
 
 
+def checked_front(memo):
+    """Decorator of a public function that checks its arguments and then
+    reads ``memo``, its private ``functools.cache``: the function gets the
+    memo's ``cache_info`` and ``cache_clear``, so the memo is counted and
+    cleared under the public name while no call reaches it unchecked."""
+
+    def expose(front):
+        front.cache_info = memo.cache_info
+        front.cache_clear = memo.cache_clear
+        return front
+
+    return expose
+
+
 # typed, so 4.0 never finds the entry of 4 and always reaches the check
 @lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
@@ -71,36 +84,50 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(partitions_inside((n,) * n, n))
 
 
-def partitions_inside(lam: Partition, d: int, floor: Partition = ()) -> Iterator[Partition]:
+def partitions_inside(lam: Partition, d: int, floor: Partition = ()) -> list[Partition]:
     """The partitions of d <= |lam| contained in lam and containing
     ``floor`` (itself inside lam), in reverse lexicographic order.  They
     are built row by row with floor_i <= alpha_i <= min(alpha_(i-1), lam_i),
     and a row takes a part only if the rows after it can still take the
     rest: at least what the floor asks of them, and at most that part
-    each in the rows of lam."""
-    need = [0] * (len(lam) + 1)  # need[i]: cells the floor asks of rows i, i+1, ...
-    for i in range(len(floor) - 1, -1, -1):
-        need[i] = need[i + 1] + floor[i]
-    if need[0] > d:
-        return iter(())
-    return _rows(lam, floor, need, 0, d, d, ())
+    each and what lam holds there.  Once the rest is exactly what the
+    floor asks, or all that lam holds, those rows are taken at once."""
+    rows = len(lam)
+    need = [0] * (rows + 1)  # need[i]: cells the floor asks of rows i, i+1, ...
+    room = [0] * (rows + 1)  # room[i]: cells lam holds in rows i, i+1, ...
+    for i in range(rows - 1, -1, -1):
+        need[i] = need[i + 1] + (floor[i] if i < len(floor) else 0)
+        room[i] = room[i + 1] + lam[i]
+    out: list[Partition] = []
+    if need[0] <= d <= room[0]:
+        _fill(out, lam, floor, need, room, 0, d, d, ())
+    return out
 
 
-def _rows(
-    lam: Partition, floor: Partition, need: list[int], i: int, left: int, cap: int, alpha: Partition
-) -> Iterator[Partition]:
-    """The ``partitions_inside`` that extend alpha by rows i, i+1, ... with
-    ``left`` cells, no part above cap.  A module-level generator, so a call
-    leaves no self-referring closure behind."""
-    if not left:
-        yield alpha
+def _fill(
+    out: list[Partition],
+    lam: Partition,
+    floor: Partition,
+    need: list[int],
+    room: list[int],
+    i: int,
+    left: int,
+    cap: int,
+    alpha: Partition,
+) -> None:
+    """Append to ``out`` the ``partitions_inside`` that extend alpha by
+    rows i, i+1, ... with ``left`` cells, no part above cap."""
+    if left == need[i]:
+        out.append(alpha + floor[i:])  # the floor forces every row left
         return
-    low = floor[i] if i < len(floor) else 1
-    below = len(lam) - 1 - i  # rows of lam after row i
+    if left == room[i]:
+        if cap >= lam[i]:
+            out.append(alpha + lam[i:])  # so does lam, if it fits under cap
+        return
+    # the rows after i hold at most room[i + 1] cells, and at most part each
+    low = max(floor[i] if i < len(floor) else 1, left - room[i + 1], -(-left // (len(lam) - i)))
     for part in range(min(left - need[i + 1], cap, lam[i]), low - 1, -1):
-        if left - part > part * below:
-            return  # a smaller part leaves more for rows that hold less
-        yield from _rows(lam, floor, need, i + 1, left - part, part, alpha + (part,))
+        _fill(out, lam, floor, need, room, i + 1, left - part, part, alpha + (part,))
 
 
 def bijection_regime_ok(n: int, k: int, lam: Partition) -> bool:
@@ -146,35 +173,6 @@ def corners(p: Partition) -> CornerSet:
     cells.reverse()  # top row first
     longest = sum(1 for part in p if part == p[0])
     return CornerSet(tuple(cells), (longest, p[0]))
-
-
-def remove_corner(p: Partition, c: Cell) -> Partition:
-    """Remove the corner cell ``c`` from ``p``; rejects non-corner cells."""
-    cs = corners(p)
-    if c not in cs.corners:
-        raise ValueError(f"{c} is not a corner of {p}")
-    row = c[0] - 1
-    out = list(p)
-    out[row] -= 1
-    if out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def add_corner_positions(p: Partition) -> list[Partition]:
-    """All partitions obtained by adding one cell (necessarily a corner).
-
-    Listed bottom row first, which is the canonical order of the results.
-    """
-    out = []
-    m = len(p)
-    for i in range(m):
-        if i == 0 or p[i] < p[i - 1]:
-            q = list(p)
-            q[i] += 1
-            out.append(tuple(q))
-    out.append(p + (1,))
-    return out
 
 
 def centralizer_order(mu: Partition) -> int:

@@ -16,11 +16,13 @@ shape and row-count tuple they store is the one object held for it in
 ``_shared``, and those shapes are also the keys of the product memo.
 ``lr_coefficient`` reads its coefficient from that per-pair memo, and a
 skew s_lam/gamma is expanded from those coefficients once per pair
-(lam, gamma) and memoised.  It runs over the shapes alpha inside lam
-with alpha_i >= lam_(i+len(gamma)) only (``partitions.partitions_inside``
-with a floor): an LR filling of lam/alpha with content gamma has at most
-len(gamma) cells in a column.  The memoised dicts are shared, so callers
-only read them.
+(lam, gamma) and memoised.  It runs only over the shapes alpha inside
+lam for which lam/alpha fits gamma's box, alpha_i >= lam_(i+len(gamma))
+and alpha_i >= lam_i - gamma_1 (``partitions.partitions_inside`` with
+that floor): an LR filling of lam/alpha with content gamma has at most
+len(gamma) cells in a column, and as c^lam_{gamma alpha} =
+c^lam'_{gamma' alpha'} (Macdonald I.9) at most gamma_1 cells in a row.
+The memoised dicts are shared, so callers only read them.
 
 ``skew_then_multiply`` is the one composite behind the operator route
 (``kron_ops.apply``).  It takes a list of (coefficient, nu-tuple) terms,
@@ -45,6 +47,7 @@ from .partitions import (
     Partition,
     canonical_sort,
     check_partition,
+    checked_front,
     contains,
     partitions_inside,
     weight,
@@ -137,16 +140,8 @@ class SchurSum:
 
 
 @cache
-def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
-    """Littlewood-Richardson coefficient of s_mu in s_gamma * s_alpha.
-
-    Read from the memoised product of the pair, which is shared with
-    ``multiply`` and only read.  By c^mu_{gamma alpha} = c^mu_{alpha gamma}
-    the factor of smaller weight is the content, the first argument on a
-    tie, as in ``multiply``; so the skew by nu and the product by s_nu of
-    the operator route read the same memo entries.
-    """
-    gamma, alpha, mu = check_partition(gamma), check_partition(alpha), check_partition(mu)
+def _lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
+    """``lr_coefficient`` of checked partitions, memoised."""
     g, a = weight(gamma), weight(alpha)
     if g + a != weight(mu):
         return 0
@@ -154,6 +149,20 @@ def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
         return 0
     big, small = (gamma, alpha) if g >= a else (alpha, gamma)
     return _schur_product_terms(big, small).get(mu, 0)
+
+
+@checked_front(_lr_coefficient)
+def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
+    """Littlewood-Richardson coefficient of s_mu in s_gamma * s_alpha.
+
+    Read from the memoised product of the pair, which is shared with
+    ``multiply`` and only read.  By c^mu_{gamma alpha} = c^mu_{alpha gamma}
+    the factor of smaller weight is the content, the first argument on a
+    tie, as in ``multiply``; so the skew by nu and the product by s_nu of
+    the operator route read the same memo entries.  The partitions are
+    checked before the memo, ``_lr_coefficient``, is read.
+    """
+    return _lr_coefficient(check_partition(gamma), check_partition(alpha), check_partition(mu))
 
 
 @cache
@@ -263,10 +272,14 @@ def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
     """s_lam/gamma in the Schur basis: {alpha: c^lam_{gamma alpha}}."""
     if not contains(lam, gamma):
         return {}
-    out = {}
     # an LR filling of lam/alpha with content gamma puts at most len(gamma)
-    # cells in a column, so alpha_i >= lam_(i+len(gamma)) (Macdonald I.9)
-    floor = lam[len(gamma):]
+    # cells in a column, and as c^lam_{gamma alpha} = c^lam'_{gamma' alpha'}
+    # at most gamma_1 in a row, so alpha_i >= lam_(i+len(gamma)) and
+    # alpha_i >= lam_i - gamma_1 (Macdonald I.9): lam/alpha fits gamma's box
+    width = gamma[0] if gamma else 0
+    shifted = lam[len(gamma) :] + (0,) * len(gamma)
+    floor = tuple(f for f in map(max, shifted, [part - width for part in lam]) if f > 0)
+    out = {}
     for alpha in partitions_inside(lam, weight(lam) - weight(gamma), floor):
         lr = lr_coefficient(gamma, alpha, lam)
         if lr:
@@ -333,13 +346,19 @@ def h_determinant(matrix: list[list[int]]) -> dict[Partition, int]:
 
 
 @cache
-def h_to_schur(indices: Partition) -> SchurSum:
-    """Expand h_indices in the Schur basis (Kostka-positive)."""
-    indices = check_partition(indices)
+def _h_to_schur(indices: Partition) -> SchurSum:
+    """``h_to_schur`` of a checked partition, memoised."""
     out = SchurSum.schur(())
     for r in indices:
         out = multiply(out, SchurSum.schur((r,)))
     return out
+
+
+@checked_front(_h_to_schur)
+def h_to_schur(indices: Partition) -> SchurSum:
+    """Expand h_indices in the Schur basis (Kostka-positive).  The indices
+    are checked before the memo, ``_h_to_schur``, is read."""
+    return _h_to_schur(check_partition(indices))
 
 
 def skew_then_multiply(

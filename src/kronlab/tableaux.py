@@ -34,14 +34,12 @@ from ._record import Record
 from .partitions import (
     Cell,
     Partition,
-    canonical_sort,
     check_count,
     check_partition,
     check_same_weight,
     corners,
     format_partition,
     parse_partition,
-    add_corner_positions,
     bijection_regime_ok,
     weight,
 )
@@ -144,21 +142,35 @@ def _steps(p: Partition) -> tuple[tuple[Partition, Cell | None], ...]:
     """The legal steps from the partition p as (next shape, mark): corner
     moves to a different shape (canonical order of the results), then a
     stay marked with each corner other than the first corner, top row
-    first.  The corners are found once, top row first, so the first
-    corner, the lowest, comes last.  Each corner's row is lowered by one
-    cell, and every cell that can then be added gives a move, except the
-    one that puts the corner back; a move lowers one row and raises
-    another, so no two are the same shape.  Shared, so callers only read
-    it."""
-    cells = corners(p).corners
+    first.  A move lowers a row i that ends in a corner and adds a cell
+    to a row j != i with room for it, or to a new row unless that puts
+    the corner back; no two moves are the same shape.  A move with j < i
+    comes before p in canonical order and one with j > i after it; those
+    with j < i come by j ascending, then i descending, and those with
+    j > i by i descending, then j ascending, so the moves are built in
+    order with no sort.  The first corner ends the lowest corner row.
+    Shared, so callers only read it."""
+    rows = len(p)
+    padded = p + (0,)
+    ends = [i for i in range(rows - 1, -1, -1) if p[i] > padded[i + 1]]  # corner rows, top first
+    room = [j for j in range(rows + 1) if j == 0 or padded[j] < p[j - 1]]
     moves = []
-    for row, col in cells:
-        # a corner of length 1 is on the last row, which then goes
-        smaller = p[: row - 1] + (col - 1,) + p[row:] if col > 1 else p[:-1]
-        moves += [q for q in add_corner_positions(smaller) if q != p]
-    return tuple((q, None) for q in canonical_sort(moves)) + tuple(
-        (p, c) for c in cells[:-1]
-    )
+    for j in room:
+        for i in ends:
+            if i <= j:
+                break
+            # a corner of length 1 is on the last row, which then goes
+            lowered = (p[i] - 1,) if p[i] > 1 else ()
+            moves.append((p[:j] + (p[j] + 1,) + p[j + 1 : i] + lowered + p[i + 1 :], None))
+    for i in ends:
+        for j in room:
+            # row i + 1 is always in room, but a cell added there must
+            # leave it no longer than the lowered row i (so a new row
+            # never follows a lowered row of 1: that puts the corner back)
+            if j > i + 1 or (j == i + 1 and padded[j] < p[i] - 1):
+                q = p[:i] + (p[i] - 1,) + p[i + 1 : j] + (padded[j] + 1,) + p[j + 1 :]
+                moves.append((q, None))
+    return tuple(moves) + tuple((p, (i + 1, p[i])) for i in ends[:-1])
 
 
 def successors(p: Partition) -> list[tuple[Partition, Cell | None]]:

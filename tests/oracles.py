@@ -306,6 +306,29 @@ def addable_rows(p):
     return [i for i in range(len(p)) if i == 0 or p[i] < p[i - 1]] + [len(p)]
 
 
+def remove_corner(p, c):
+    """Remove the corner cell c = (row, col), 1-based, from p; rejects
+    any other cell."""
+    p = tuple(p)
+    row, col = c
+    if row - 1 not in corner_rows(p) or p[row - 1] != col:
+        raise ValueError(f"{c} is not a corner of {p}")
+    smaller = list(p)
+    smaller[row - 1] -= 1
+    if smaller[-1] == 0:
+        smaller.pop()
+    return tuple(smaller)
+
+
+def add_corner_positions(p):
+    """Every partition one cell larger than p, the cell added bottom row
+    first, which is their canonical order."""
+    p = tuple(p)
+    return [
+        p[:j] + (p[j] + 1,) + p[j + 1 :] if j < len(p) else p + (1,) for j in addable_rows(p)
+    ]
+
+
 def walk_steps(p):
     """Legal walk steps from p as (next shape, mark), computed inline rather
     than through the library: every single-corner move to a different shape,

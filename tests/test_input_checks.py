@@ -4,10 +4,11 @@ import pytest
 
 from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import TruncatedEGF, multiplicity_formula
-from kronlab.kron_ops import kron_power_nm1
+from kronlab.kron_ops import _build_operator, build_operator, kron_power_nm1
 from kronlab.partitions import parse_partition, partitions_of
 from kronlab.symfunc import (
     SchurSum,
+    h_to_schur,
     lr_coefficient,
     multiply,
     perp,
@@ -226,3 +227,25 @@ def test_input_check(case):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+# a public name over a private memo: (memo front, a call of floats, the
+# same call of ints, its answer)
+MEMO_FRONTS = {
+    "build-operator": (build_operator, ((2.0,),), ((2,),), _build_operator.__wrapped__((2,))),
+    "lr-coefficient": (lr_coefficient, ((1.0,), (1,), (2,)), ((1,), (1,), (2,)), 1),
+    "h-to-schur": (h_to_schur, ((2.0, 1),), ((2, 1),), SchurSum(3, {(3,): 1, (2, 1): 1})),
+}
+
+
+@pytest.mark.parametrize("name", list(MEMO_FRONTS))
+def test_memo_fronts_check_their_partitions_on_a_cold_and_a_warm_memo(name):
+    front, floats, ints, answer = MEMO_FRONTS[name]
+    front.cache_clear()
+    with pytest.raises(ValueError, match="not a partition"):
+        front(*floats)
+    assert front(*ints) == answer
+    assert front.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="not a partition"):
+        front(*floats)
+    assert front.cache_info().currsize == 1

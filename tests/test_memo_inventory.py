@@ -19,16 +19,16 @@ MEMOS = {
         "_power_sums",
     },
     "symfunc": {
-        "lr_coefficient",
+        "_lr_coefficient",
         "_schur_product_terms",
         "_lattice_strips",
         "_skew_terms",
-        "h_to_schur",
+        "_h_to_schur",
         "_collected",
     },
     "enumeration": {"p2", "_formula_sum"},
     "partitions": {"partitions_of", "_standard_tableaux_count"},
-    "kron_ops": {"build_operator"},
+    "kron_ops": {"_build_operator"},
     "tableaux": {"_steps"},
 }
 # module -> its module-level dicts that start empty and are filled as a memo

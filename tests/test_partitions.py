@@ -4,7 +4,6 @@ import pytest
 
 from kronlab import partitions
 from kronlab.partitions import (
-    add_corner_positions,
     canonical_sort,
     class_size,
     conjugate,
@@ -15,15 +14,16 @@ from kronlab.partitions import (
     parse_partition,
     partitions_inside,
     partitions_of,
-    remove_corner,
     standard_tableaux_count,
     weight,
 )
 
 from oracles import (
+    add_corner_positions,
     contains_rowwise,
     partition_count,
     partitions_listed,
+    remove_corner,
     standard_fillings_count,
 )
 
@@ -60,12 +60,19 @@ def test_partitions_inside_match_filtered_partitions():
 
 
 def test_floored_partitions_inside_match_filtered_partitions():
+    """Every box floor max(lam_(i+j), lam_i - c), the floors of a skew by
+    a shape with j rows and c columns; c = lam_1 gives the suffix lam[j:]."""
     for w in range(0, 11):
         for lam in partitions_listed(w):
+            floors = set()
+            for j in range(0, len(lam) + 1):
+                shifted = lam[j:] + (0,) * j
+                for c in range(0, w + 1):
+                    box = [max(s, part - c) for s, part in zip(shifted, lam)]
+                    floors.add(tuple(f for f in box if f > 0))
             for d in range(0, w + 1):
                 every = list(partitions_inside(lam, d))
-                for j in range(0, len(lam) + 1):
-                    floor = lam[j:]
+                for floor in sorted(floors):
                     want = [alpha for alpha in every if contains_rowwise(alpha, floor)]
                     assert list(partitions_inside(lam, d, floor)) == want, (lam, d, floor)
 

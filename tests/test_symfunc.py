@@ -134,6 +134,22 @@ def test_skews_match_lr_coefficients_up_to_weight_9():
                     assert perp(gamma, SchurSum.schur(lam)) == expected, (lam, gamma)
 
 
+def test_skew_candidates_fit_the_box_exactly_for_pieri():
+    """A skew by a row (r) or a column (1^r) looks up no coefficient that
+    is 0: a candidate alpha with alpha_i >= lam_(i+len(gamma)) and
+    alpha_i >= lam_i - gamma_1 differs from lam by a horizontal or a
+    vertical strip, whose coefficient is 1 (Pieri)."""
+    for n in range(0, 10):
+        for lam in partitions_of(n):
+            for r in range(1, n + 1):
+                for gamma in ((r,), (1,) * r):
+                    symfunc._skew_terms.cache_clear()
+                    lr_coefficient.cache_clear()
+                    terms = symfunc._skew_terms(lam, gamma)
+                    assert set(terms.values()) <= {1}
+                    assert lr_coefficient.cache_info().misses == len(terms), (lam, gamma)
+
+
 def test_lr_coefficient_matches_lr_fillings_up_to_weight_8():
     outside = 0
     for total in range(0, 9):

@@ -7,11 +7,9 @@ from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import (
-    add_corner_positions,
     canonical_sort,
     corners,
     partitions_of,
-    remove_corner,
     weight,
 )
 from kronlab.symfunc import SchurSum
@@ -39,8 +37,10 @@ from kronlab.tableaux import (
 )
 
 from oracles import (
+    add_corner_positions,
     decreasing_cycle_permutations,
     partial_standard_tableaux,
+    remove_corner,
     standard_fillings_count,
     walk_count_recursive,
     walks_by_final_shape,
