@@ -4,11 +4,9 @@ operators, walk enumeration, closed formulas) that cross-validate."""
 
 from .partitions import (
     Cell,
-    CornerSet,
     Partition,
     bijection_regime_ok,
     class_size,
-    corners,
     format_partition,
     parse_partition,
     partitions_of,
@@ -21,8 +19,6 @@ from .symfunc import (
     lr_coefficient,
     multiply,
     perp,
-    scalar,
-    schur_sum_from_json,
     schur_sum_to_json,
 )
 from .characters import (
@@ -46,7 +42,6 @@ from .tableaux import (
     EnumerationLimitError,
     KroneckerTableau,
     PartialStandardTableau,
-    ReducedWalk,
     count_kronecker_tableaux,
     format_walk,
     from_pair,
@@ -54,10 +49,7 @@ from .tableaux import (
     parse_walk,
     rsk_delete,
     rsk_insert,
-    strip_first_row,
-    successors,
     to_pair,
-    unstrip,
     walk_counts,
 )
 from .enumeration import (
@@ -65,7 +57,6 @@ from .enumeration import (
     egf_check,
     egf_rhs,
     multiplicity_formula,
-    no_small_blocks_egf,
     p2,
 )
 

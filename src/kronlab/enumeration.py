@@ -191,11 +191,6 @@ class TruncatedEGF:
         return "TruncatedEGF(" + ", ".join(map(str, self.counts)) + ")"
 
 
-def no_small_blocks_egf(K: int) -> TruncatedEGF:
-    """exp(e^x - x - 1): blocks of size >= 2, exponentially weighted."""
-    return (TruncatedEGF.exp_x(K) - TruncatedEGF.x(K) - TruncatedEGF.one(K)).exp()
-
-
 def egf_rhs(lambda_bar: Partition, K: int) -> TruncatedEGF:
     """Series whose k-th count counts walks ending at the shape lambda_bar
     extended by a long first row:
@@ -209,7 +204,8 @@ def egf_rhs(lambda_bar: Partition, K: int) -> TruncatedEGF:
     if K < ell:
         raise ValueError(f"order {K} below the weight {ell} of {lambda_bar}")
     em1 = TruncatedEGF.exp_x(K) - TruncatedEGF.one(K)
-    rhs = no_small_blocks_egf(K) * em1.pow(ell)
+    # exp(e^x - x - 1): set partitions into blocks of size >= 2
+    rhs = (em1 - TruncatedEGF.x(K)).exp() * em1.pow(ell)
     f, blocks = _standard_tableaux_count(lambda_bar), factorial(ell)
     counts, rems = zip(*(divmod(f * a, blocks) for a in rhs.counts))
     if any(rems):

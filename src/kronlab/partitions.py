@@ -8,17 +8,12 @@ convention: row 1 is the bottom (longest) row, rows and columns are
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache, lru_cache
 from math import factorial
 from operator import index, le
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
-
-
-# corners: tuple[Cell, ...]; first_corner: Cell | None
-CornerSet = namedtuple("CornerSet", ("corners", "first_corner"))
 
 
 def is_partition(parts) -> bool:
@@ -155,24 +150,6 @@ def conjugate(p: Partition) -> Partition:
         for j in range(part):
             cols[j] += 1
     return tuple(cols)
-
-
-def corners(p: Partition) -> CornerSet:
-    """Removable cells of the diagram, listed top row first.
-
-    A corner sits at the right end of its row with no cell above it.  The
-    first corner is the one on the last (topmost) row of maximal length.
-    """
-    if not p:
-        return CornerSet((), None)
-    m = len(p)
-    cells = []
-    for i in range(m):  # row i+1 has length p[i]
-        if i + 1 == m or p[i + 1] < p[i]:
-            cells.append((i + 1, p[i]))
-    cells.reverse()  # top row first
-    longest = sum(1 for part in p if part == p[0])
-    return CornerSet(tuple(cells), (longest, p[0]))
 
 
 def centralizer_order(mu: Partition) -> int:

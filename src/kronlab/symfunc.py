@@ -281,7 +281,7 @@ def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
     floor = tuple(f for f in map(max, shifted, [part - width for part in lam]) if f > 0)
     out = {}
     for alpha in partitions_inside(lam, weight(lam) - weight(gamma), floor):
-        lr = lr_coefficient(gamma, alpha, lam)
+        lr = _lr_coefficient(gamma, alpha, lam)
         if lr:
             out[alpha] = lr
     return out
@@ -306,14 +306,6 @@ def _skew(gamma: Partition, f: dict[Partition, int]) -> dict[Partition, int]:
         for alpha, lr in _skew_terms(lam, gamma).items():
             result[alpha] = result.get(alpha, 0) + c * lr
     return result
-
-
-def scalar(f: SchurSum, g: SchurSum) -> int:
-    """Hall scalar product; Schur functions are orthonormal."""
-    if f.degree != g.degree:
-        return 0
-    small, big = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    return sum(c * big.get(p, 0) for p, c in small.items())
 
 
 def h_determinant(matrix: list[list[int]]) -> dict[Partition, int]:
@@ -453,9 +445,3 @@ def schur_sum_to_json(f: SchurSum) -> dict:
         ],
     }
 
-
-def schur_sum_from_json(obj: dict) -> SchurSum:
-    terms = {
-        check_partition(t["partition"]): int(t["coeff"]) for t in obj["terms"]
-    }
-    return SchurSum(int(obj["degree"]), terms)

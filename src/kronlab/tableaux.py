@@ -16,11 +16,13 @@ partition of n.  The listing steps the vectors it prunes by in a local
 list and leaves the memo as it was.
 
 When the first row stays long enough (n >= k + second part of the final
-shape, ``partitions.bijection_regime_ok``) the walks biject with shorter
-walks started at the empty shape, and from there with pairs (T, pi) via
-RSK insertion and deletion.  pi is built cycle by cycle: step i opens the
-cycle (i), and a step that RSK-deletes a corner, ejecting the label j,
-puts i at the head of j's cycle.  Each label of T heads its cycle, which
+shape, ``partitions.bijection_regime_ok``) the walks biject with pairs
+(T, pi), read off the walk itself: row r >= 2 of each shape is row r - 1
+of the partial tableau T, so step i RSK-deletes the corner of a row it
+lowers and writes i at the end of a row it raises (a stay does both on
+its marked row).  pi is built cycle by cycle: step i opens the cycle (i),
+and a step that RSK-deletes a corner, ejecting the label j, puts i at the
+head of j's cycle.  Each label of T heads its cycle, which
 is what lets ``from_pair`` unwind pi by cycle heads, from k down.
 """
 
@@ -37,7 +39,6 @@ from .partitions import (
     check_count,
     check_partition,
     check_same_weight,
-    corners,
     format_partition,
     parse_partition,
     bijection_regime_ok,
@@ -56,28 +57,6 @@ class BijectionError(ValueError):
 
 # ---------------------------------------------------------------------------
 # walk objects
-
-
-def _step_cells(
-    p: Partition, q: Partition, mark: Cell | None
-) -> tuple[Cell | None, Cell | None]:
-    """The corner a reduced-walk step from p to q vacates and the cell it
-    fills: an add vacates nothing, a remove fills nothing, a move does both
-    and a stay vacates and refills its marked corner.  Raises ValueError
-    for any other step."""
-    if p == q:
-        if mark not in corners(p).corners:
-            raise ValueError(f"stay at {p} needs a corner mark, not {mark}")
-        return mark, mark
-    rows = max(len(p), len(q))
-    pp, qq = p + (0,) * (rows - len(p)), q + (0,) * (rows - len(q))
-    deltas = {i: qq[i] - pp[i] for i in range(rows) if qq[i] != pp[i]}
-    if mark is not None or sorted(deltas.values()) not in ([-1], [1], [-1, 1]):
-        raise ValueError(f"illegal step {p} -> {q} with mark {mark}")
-    check_partition(q)
-    vacated = next(((i + 1, pp[i]) for i, d in deltas.items() if d < 0), None)
-    filled = next(((i + 1, qq[i]) for i, d in deltas.items() if d > 0), None)
-    return vacated, filled
 
 
 class KroneckerTableau(Record):
@@ -112,25 +91,6 @@ class KroneckerTableau(Record):
     @property
     def final(self) -> Partition:
         return self.shapes[-1]
-
-
-class ReducedWalk(Record):
-    """Walk from the empty shape whose steps add, remove or move a corner,
-    or stay with one distinguished corner."""
-
-    __slots__ = ("shapes", "marks")  # tuple[Partition, ...], tuple[Cell | None, ...]
-
-    def __post_init__(self):
-        if len(self.marks) != len(self.shapes) - 1:
-            raise ValueError("need exactly one mark slot per step")
-        if self.shapes[0] != ():
-            raise ValueError("reduced walks start at the empty shape")
-        for step in zip(self.shapes, self.shapes[1:], self.marks):
-            _step_cells(*step)
-
-    @property
-    def length(self) -> int:
-        return len(self.shapes) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +131,6 @@ def _steps(p: Partition) -> tuple[tuple[Partition, Cell | None], ...]:
                 q = p[:i] + (p[i] - 1,) + p[i + 1 : j] + (padded[j] + 1,) + p[j + 1 :]
                 moves.append((q, None))
     return tuple(moves) + tuple((p, (i + 1, p[i])) for i in ends[:-1])
-
-
-def successors(p: Partition) -> list[tuple[Partition, Cell | None]]:
-    """Legal next steps from p: corner moves first (canonical order of the
-    results), then one stay per corner other than the first corner."""
-    return list(_steps(check_partition(p)))
 
 
 # (mu, k) -> {final shape: number of length-k walks from mu}; only read
@@ -258,48 +212,6 @@ def list_kronecker_tableaux(
 
 
 # ---------------------------------------------------------------------------
-# first-row stripping
-
-
-def strip_first_row(
-    K: KroneckerTableau, n: int, k: int, require_regime: bool = True
-) -> ReducedWalk:
-    """Drop the first row of every shape of a walk started at (n).
-
-    Outside the guaranteed regime the mechanical stripping may still
-    succeed (pass require_regime=False to attempt it), but it is only a
-    bijection when n >= k + second part of the final shape."""
-    n, k = check_count(n, "n"), check_count(k)
-    if K.shapes[0] != (n,):
-        raise ValueError("walk must start at the one-row shape (n)")
-    if K.length != k:
-        raise ValueError(f"walk has length {K.length}, expected {k}")
-    if require_regime and not bijection_regime_ok(n, k, K.final):
-        raise BijectionError(
-            f"n={n} < k + second part of {K.final}; pass require_regime=False "
-            "to strip anyway"
-        )
-    # a stay never marks row 1: a row-1 corner is always the first corner
-    marks = tuple(None if m is None else (m[0] - 1, m[1]) for m in K.marks)
-    return ReducedWalk(tuple(s[1:] for s in K.shapes), marks)
-
-
-def unstrip(w: ReducedWalk, n: int) -> KroneckerTableau:
-    """Prepend a first row of length n - |shape| to every shape of w."""
-    n = check_count(n, "n")
-    shapes = []
-    for s in w.shapes:
-        first = n - weight(s)
-        if first < (s[0] if s else 0):
-            raise ValueError(f"n={n} too small to extend {s} by a first row")
-        shapes.append((first,) + s)
-    marks = tuple(
-        None if m is None else (m[0] + 1, m[1]) for m in w.marks
-    )
-    return KroneckerTableau(tuple(shapes), marks)
-
-
-# ---------------------------------------------------------------------------
 # partial standard tableaux and RSK
 
 
@@ -369,8 +281,9 @@ def rsk_delete(
 ) -> tuple[PartialStandardTableau, int]:
     """Remove the corner c, bumping downward; returns the new tableau and
     the label ejected from the bottom row.  Exact inverse of rsk_insert."""
-    shape = T.shape
-    if c not in corners(shape).corners:
+    shape, row = T.shape, c[0]
+    # a corner ends its row, and the row above it, if any, is shorter
+    if not 0 < row <= len(shape) or c != (row, shape[row - 1]) or shape[row : row + 1] == c[1:]:
         raise ValueError(f"{c} is not a corner of shape {shape}")
     rows = [list(r) for r in T.rows]
     val = rows[c[0] - 1].pop()
@@ -380,22 +293,6 @@ def rsk_delete(
         j = bisect_left(rows[r], val) - 1
         rows[r][j], val = val, rows[r][j]
     return PartialStandardTableau(tuple(tuple(r) for r in rows)), val
-
-
-def _place_label(
-    T: PartialStandardTableau, cell: Cell, label: int
-) -> PartialStandardTableau:
-    """Write ``label`` into the fresh corner ``cell``; the label must be
-    larger than all of its neighbours (it always is a new maximum here)."""
-    rows = [list(r) for r in T.rows]
-    row, col = cell
-    if row == len(rows) + 1 and col == 1:
-        rows.append([label])
-    elif 1 <= row <= len(rows) and col == len(rows[row - 1]) + 1:
-        rows[row - 1].append(label)
-    else:
-        raise ValueError(f"{cell} is not an addable position")
-    return PartialStandardTableau(tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -452,25 +349,49 @@ def to_pair(
 ) -> tuple[PartialStandardTableau, DecCyclePermutation]:
     """Encode a walk started at (n) as a pair (T, pi).
 
-    Walk the stripped shapes; step i opens the cycle (i).  If it vacates a
-    corner, it RSK-deletes that corner, and i goes to the head of the
-    cycle of the ejected label j.  Then it writes i into the cell it fills,
-    if any (a stay vacates and refills its marked corner).  Each label of
-    T heads its cycle and i exceeds them all, so j's cycle is keyed by j
-    and i heads the joined cycle; the cycles are built by increasing head.
+    Row r >= 2 of each shape of the walk is row r - 1 of T.  Step i opens
+    the cycle (i).  If it lowers a row r >= 2, it RSK-deletes the corner
+    (r - 1, p_r) of T, and i goes to the head of the cycle of the ejected
+    label j.  Then, if it raises a row r >= 2, it writes i at the end of
+    row r - 1 of T (a stay lowers and raises its marked row).  Each label
+    of T heads its cycle and i exceeds them all, so j's cycle is keyed by
+    j and i heads the joined cycle; the cycles are built by increasing
+    head.
+
+    Outside the regime n >= k + second part of the final shape the
+    encoding may still run (pass require_regime=False to attempt it), but
+    it is only a bijection inside it.
     """
-    walk = strip_first_row(K, n, k, require_regime)
+    n, k = check_count(n, "n"), check_count(k)
+    if K.shapes[0] != (n,):
+        raise ValueError("walk must start at the one-row shape (n)")
+    if K.length != k:
+        raise ValueError(f"walk has length {K.length}, expected {k}")
+    if require_regime and not bijection_regime_ok(n, k, K.final):
+        raise BijectionError(
+            f"n={n} < k + second part of {K.final}; pass require_regime=False "
+            "to strip anyway"
+        )
     T = PartialStandardTableau.empty()
     cycles: dict[int, tuple[int, ...]] = {}  # head (greatest element) -> cycle
-    steps = zip(walk.shapes, walk.shapes[1:], walk.marks)
-    for i, step in enumerate(steps, 1):
-        vacated, filled = _step_cells(*step)
+    steps = zip(K.shapes, K.shapes[1:], K.marks)
+    for i, (p, q, mark) in enumerate(steps, 1):
+        # the rows lowered and raised, 0-based in the walk so 1-based in T
+        if mark is None:
+            # a move lowers one row and raises another, adding at most a row
+            rise = [b - a for a, b in zip(p + (0,), q + (0,))]
+            lowered, raised = rise.index(-1), rise.index(1)
+        else:
+            # never the walk's row 1: its corner is always the first corner
+            lowered = raised = mark[0] - 1
         cycles[i] = (i,)
-        if vacated is not None:
-            T, j = rsk_delete(T, vacated)  # every label of T is below i
+        if lowered:
+            T, j = rsk_delete(T, (lowered, p[lowered]))  # every label of T is below i
             cycles[i] += cycles.pop(j)
-        if filled is not None:
-            T = _place_label(T, filled, i)
+        if raised:
+            rows = [*T.rows, ()]
+            rows[raised - 1] += (i,)
+            T = PartialStandardTableau(tuple(filter(None, rows)))
     return T, DecCyclePermutation(tuple(cycles.values()))
 
 
@@ -490,7 +411,8 @@ def from_pair(
     and ejected the next element j; the rest of the cycle is keyed by j,
     which heads it again, and RSK-inserting j re-creates that corner.  The
     step was a stay, marked at the erased cell, exactly when the shape
-    comes back.
+    comes back.  Each shape of T is then put under a first row of
+    n - |T| cells.
     """
     n, k = check_count(n, "n"), check_count(k)
     support = frozenset(range(1, k + 1))
@@ -504,7 +426,7 @@ def from_pair(
         raise BijectionError("every label must be the greatest of its cycle")
 
     cycles = {cyc[0]: cyc for cyc in pi.cycles}
-    shapes: list[Partition] = [T.shape]
+    shapes: list[Partition] = [T.shape]  # shapes of T, from step k down
     marks: list[Cell | None] = []
     for i in range(k, 0, -1):
         filled = T.find(i) if i in T.labels else None
@@ -515,10 +437,16 @@ def from_pair(
         if rest:
             cycles[rest[0]] = rest
             T = rsk_insert(T, rest[0])
-        marks.append(filled if T.shape == shapes[-1] else None)
+        # a fixed point labels a cell, so a shape that comes back has one
+        marks.append((filled[0] + 1, filled[1]) if T.shape == shapes[-1] else None)
         shapes.append(T.shape)
-    walk = ReducedWalk(tuple(reversed(shapes)), tuple(reversed(marks)))
-    K = unstrip(walk, n)
+    walk = []
+    for s in reversed(shapes):
+        first = n - weight(s)
+        if first < (s[0] if s else 0):
+            raise ValueError(f"n={n} too small to extend {s} by a first row")
+        walk.append((first,) + s)
+    K = KroneckerTableau(tuple(walk), tuple(reversed(marks)))
     if require_regime and not bijection_regime_ok(n, k, K.final):
         raise BijectionError(f"n={n} < k + second part of {K.final}")
     return K

@@ -7,12 +7,13 @@ compositions, walk steps are recomputed cell by cell, character values
 come from border-strip removal, added strips from splicing shape tuples,
 Kronecker products from one projection per irreducible, containment row
 by row, the partition function comes from the pentagonal recurrence,
-products of series from their plain coefficient products and
-exponentials of series from their power sums.
+products of series from their plain coefficient products,
+exponentials of series from their power sums, corners from the row
+lengths and the Hall scalar product from equal-shape coefficients.
 """
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -301,6 +302,17 @@ def corner_rows(p):
     return [i for i in range(len(p)) if i + 1 == len(p) or p[i + 1] < p[i]]
 
 
+CornerSet = namedtuple("CornerSet", ("corners", "first_corner"))
+
+
+def corners(p):
+    """Removable cells of p, top row first, and the first corner: the
+    corner on the topmost row of maximal length (None for no cells)."""
+    p = tuple(p)
+    cells = tuple((i + 1, p[i]) for i in reversed(corner_rows(p)))
+    return CornerSet(cells, (p.count(p[0]), p[0]) if p else None)
+
+
 def addable_rows(p):
     """0-based rows that can take one more cell, len(p) for a new row."""
     return [i for i in range(len(p)) if i == 0 or p[i] < p[i - 1]] + [len(p)]
@@ -520,3 +532,11 @@ def fixed_set_compositions(lam, gamma):
     return sum(
         all(w[x] == w[sigma[x]] for x in range(len(sigma))) for w in _block_words(lam)
     )
+
+
+def scalar(f, g):
+    """Hall scalar product of two Schur sums: the Schur functions are
+    orthonormal, so it adds the products of equal-shape coefficients."""
+    if f.degree != g.degree:
+        return 0
+    return sum(c * g.terms.get(p, 0) for p, c in f.terms.items())

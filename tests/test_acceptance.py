@@ -24,12 +24,11 @@ from kronlab.kron_ops import (
     kron_product_via_operator,
 )
 from kronlab.partitions import (
-    corners,
     partitions_of,
     standard_tableaux_count,
     weight,
 )
-from kronlab.symfunc import SchurSum, multiply, perp, scalar
+from kronlab.symfunc import SchurSum, multiply, perp
 from kronlab.tableaux import (
     PartialStandardTableau,
     count_kronecker_tableaux,
@@ -41,7 +40,7 @@ from kronlab.tableaux import (
     to_pair,
 )
 
-from oracles import set_partitions
+from oracles import corners, scalar, set_partitions
 
 
 class Budget:

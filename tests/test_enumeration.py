@@ -12,7 +12,6 @@ from kronlab.enumeration import (
     egf_check,
     egf_rhs,
     multiplicity_formula,
-    no_small_blocks_egf,
     p2,
 )
 from kronlab.kron_ops import kron_power_nm1
@@ -223,7 +222,8 @@ def test_egf_check_builds_the_rows_of_p2_once(monkeypatch):
 
 
 def test_no_small_blocks_series():
-    got = list(no_small_blocks_egf(8).counts)
+    # egf_rhs of the empty shape is exp(e^x - x - 1) alone
+    got = list(egf_rhs((), 8).counts)
     assert got[:4] == [1, 0, 1, 1]
     # singleton-free set partition counts, cross-checked exhaustively
     for n in range(0, 9):

@@ -19,13 +19,12 @@ from kronlab.tableaux import (
     DecCyclePermutation,
     KroneckerTableau,
     PartialStandardTableau,
-    ReducedWalk,
-    _place_label,
     count_kronecker_tableaux,
     from_pair,
     list_kronecker_tableaux,
     parse_walk,
-    strip_first_row,
+    rsk_delete,
+    to_pair,
 )
 
 CASES = {
@@ -107,15 +106,10 @@ CASES = {
         ValueError,
         "one mark slot per step",
     ),
-    "reduced-walk-mark-slots": (
-        lambda: ReducedWalk(((), (1,)), ()),
+    "to-pair-start": (
+        lambda: to_pair(KroneckerTableau(((3, 1), (2, 2)), (None,)), 4, 1),
         ValueError,
-        "one mark slot per step",
-    ),
-    "reduced-walk-start": (
-        lambda: ReducedWalk(((1,), ()), (None,)),
-        ValueError,
-        "start at the empty shape",
+        "walk must start at the one-row shape (n)",
     ),
     "count-weights": (
         lambda: count_kronecker_tableaux((3,), (2,), 1),
@@ -142,15 +136,20 @@ CASES = {
         ValueError,
         "order must be nonnegative",
     ),
-    "strip-negative-k": (
-        lambda: strip_first_row(KroneckerTableau(((4,), (3, 1)), (None,)), 4, -1),
+    "to-pair-negative-k": (
+        lambda: to_pair(KroneckerTableau(((4,), (3, 1)), (None,)), 4, -1),
         ValueError,
         "k must be nonnegative",
     ),
-    "strip-length": (
-        lambda: strip_first_row(KroneckerTableau(((3,), (2, 1)), (None,)), 3, 2),
+    "to-pair-length": (
+        lambda: to_pair(KroneckerTableau(((3,), (2, 1)), (None,)), 3, 2),
         ValueError,
         "has length 1, expected 2",
+    ),
+    "to-pair-regime": (
+        lambda: to_pair(parse_walk("[4] [3,1] [3,1]*2:1 [2,2]"), 4, 3),
+        BijectionError,
+        "n=4 < k + second part of (2, 2); pass require_regime=False to strip anyway",
     ),
     "tableau-empty-row": (
         lambda: PartialStandardTableau(((),)),
@@ -167,10 +166,10 @@ CASES = {
         KeyError,
         "5",
     ),
-    "place-label-not-addable": (
-        lambda: _place_label(PartialStandardTableau.empty(), (2, 1), 1),
+    "rsk-delete-not-a-corner": (
+        lambda: rsk_delete(PartialStandardTableau(((1, 3), (2,))), (1, 1)),
         ValueError,
-        "not an addable position",
+        "(1, 1) is not a corner of shape (2, 1)",
     ),
     "cycle-empty": (lambda: DecCyclePermutation(((),)), ValueError, "empty cycle"),
     "cycles-overlap": (
@@ -199,6 +198,13 @@ CASES = {
         ),
         BijectionError,
         "labels must lie in 1..k",
+    ),
+    "from-pair-too-small": (
+        lambda: from_pair(
+            PartialStandardTableau(((1,),)), DecCyclePermutation(((1,),)), 1, 1
+        ),
+        ValueError,
+        "n=1 too small to extend (1,) by a first row",
     ),
     "from-pair-negative-k": (
         lambda: from_pair(

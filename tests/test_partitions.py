@@ -8,7 +8,6 @@ from kronlab.partitions import (
     class_size,
     conjugate,
     contains,
-    corners,
     format_partition,
     is_partition,
     parse_partition,
@@ -21,6 +20,7 @@ from kronlab.partitions import (
 from oracles import (
     add_corner_positions,
     contains_rowwise,
+    corners,
     partition_count,
     partitions_listed,
     remove_corner,

@@ -19,9 +19,7 @@ from kronlab.tableaux import (
     count_kronecker_tableaux,
     from_pair,
     list_kronecker_tableaux,
-    strip_first_row,
     to_pair,
-    unstrip,
     walk_counts,
 )
 
@@ -186,9 +184,8 @@ def test_a_walk_with_no_step_is_not_carried_forward(monkeypatch):
     assert count_kronecker_tableaux((), (), 0) == 1
 
 
-# the one walk of length 2 from (2) back to (2), its stripped walk and pair
+# the one walk of length 2 from (2) back to (2), and its pair
 WALK = KroneckerTableau(((2,), (1, 1), (2,)), (None, None))
-REDUCED = strip_first_row(WALK, 2, 2)
 PAIR = to_pair(WALK, 2, 2)
 
 # each call reads its argument k, a count that 2 satisfies
@@ -206,10 +203,10 @@ POWER_CALLS = {
     "partitions-of": partitions_of,
     "to-pair-n": lambda n: to_pair(WALK, n, 2),
     "to-pair-k": lambda k: to_pair(WALK, 2, k),
-    "strip-n": lambda n: strip_first_row(WALK, n, 2),
-    "strip-k": lambda k: strip_first_row(WALK, 2, k),
-    "unstrip-n": lambda n: unstrip(REDUCED, n),
+    "to-pair-n-any-regime": lambda n: to_pair(WALK, n, 2, require_regime=False),
+    "to-pair-k-any-regime": lambda k: to_pair(WALK, 2, k, require_regime=False),
     "from-pair-n": lambda n: from_pair(*PAIR, n, 2),
+    "from-pair-n-any-regime": lambda n: from_pair(*PAIR, n, 2, require_regime=False),
     "list-k": lambda k: list_kronecker_tableaux((2,), (2,), k),
     "list-limit": lambda limit: list_kronecker_tableaux((2,), (2,), 2, limit=limit),
     "pow": lambda e: TruncatedEGF.exp_x(3).pow(e),

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from kronlab._record import Record
 from kronlab.characters import CharacterTable, character_table
 from kronlab.kron_ops import KroneckerOperator, build_operator
 from kronlab.symfunc import SchurSum
@@ -13,7 +14,6 @@ from kronlab.tableaux import (
     DecCyclePermutation,
     KroneckerTableau,
     PartialStandardTableau,
-    ReducedWalk,
 )
 
 # each record with the repr its frozen-dataclass form printed
@@ -29,10 +29,6 @@ RECORDS = [
     (
         KroneckerTableau(((2, 1), (2, 1)), ((2, 1),)),
         "KroneckerTableau(shapes=((2, 1), (2, 1)), marks=((2, 1),))",
-    ),
-    (
-        ReducedWalk(((), (1,)), (None,)),
-        "ReducedWalk(shapes=((), (1,)), marks=(None,))",
     ),
     (
         PartialStandardTableau(((1, 3), (2,))),
@@ -75,14 +71,17 @@ def test_equality_and_hash_by_class_and_value():
     assert len({walk, twin}) == 1
     assert walk != KroneckerTableau(((3, 1), (3, 1)), ((2, 1),))
     # equal fields, different classes
-    assert KroneckerTableau(((),), ()) != ReducedWalk(((),), ())
-    assert ReducedWalk(((),), ()) != KroneckerTableau(((),), ())
+    class Walk(Record):
+        __slots__ = ("shapes", "marks")
+
+    assert KroneckerTableau(((),), ()) != Walk(((),), ())
+    assert Walk(((),), ()) != KroneckerTableau(((),), ())
 
 
 def test_keyword_construction():
-    walk = ReducedWalk(((), (1,)), (None,))
-    assert ReducedWalk(shapes=((), (1,)), marks=(None,)) == walk
-    assert ReducedWalk(((), (1,)), marks=(None,)) == walk
+    walk = KroneckerTableau(((2,), (1, 1)), (None,))
+    assert KroneckerTableau(shapes=((2,), (1, 1)), marks=(None,)) == walk
+    assert KroneckerTableau(((2,), (1, 1)), marks=(None,)) == walk
     assert CharacterTable(n=2, values=((1, 1), (-1, 1)), partitions=((2,), (1, 1))) == (
         character_table(2)
     )
@@ -104,9 +103,9 @@ def test_assignment_and_deletion_raise(record):
     [
         lambda: KroneckerTableau(((3,),)),
         lambda: KroneckerTableau(((3,),), (), ()),
-        lambda: ReducedWalk(((),), (), marks=()),
-        lambda: ReducedWalk(shapes=((),)),
-        lambda: ReducedWalk(((),), (), mark=()),
+        lambda: KroneckerTableau(((3,),), (), marks=()),
+        lambda: KroneckerTableau(shapes=((3,),)),
+        lambda: KroneckerTableau(((3,),), (), mark=()),
         lambda: PartialStandardTableau(),
         lambda: DecCyclePermutation((), ()),
         lambda: KroneckerOperator(),

@@ -6,6 +6,8 @@ The shared rules live in ``partitions``, the result records in
 may use ``symfunc.SchurSum`` to return its answer.
 Only the operator route builds on the Schur-function engine itself.  A
 new module needs a row here, so a new route states its dependencies.
+Every name a module imports is also used in it, so removed code leaves
+no dead import behind.
 """
 
 import ast
@@ -67,3 +69,23 @@ def test_module_imports_only_what_its_row_allows(module):
     for source, name in sorted(kronlab_imports(PACKAGE / f"{module}.py")):
         names = allowed.get(source, set())
         assert names == ANY or name in names, f"{module} imports {source}.{name}"
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names the module's imports bind, ``from __future__`` aside."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).partition(".")[0] for a in node.names)
+    return bound
+
+
+# __init__ imports only to export
+@pytest.mark.parametrize("module", sorted((set(ALLOWED) | FRONT_ENDS) - {"__init__"}))
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported_names(tree) - used
+    assert not unused, f"{module} imports {sorted(unused)} and never uses them"

@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 
-from kronlab import symfunc
+from kronlab import partitions, symfunc
 from kronlab.kron_ops import build_operator, kron_product_via_operator
-from kronlab.partitions import contains, partitions_of, weight
+from kronlab.partitions import check_partition, contains, partitions_of, weight
 from kronlab.symfunc import (
     SchurSum,
     _lattice_strips,
@@ -14,13 +15,11 @@ from kronlab.symfunc import (
     lr_coefficient,
     multiply,
     perp,
-    scalar,
-    schur_sum_from_json,
     schur_sum_to_json,
     skew_then_multiply,
 )
 
-from oracles import lr_fillings, polynomial_product, ssyt_polynomial
+from oracles import lr_fillings, polynomial_product, scalar, ssyt_polynomial
 
 
 MEMOS = [
@@ -148,6 +147,26 @@ def test_skew_candidates_fit_the_box_exactly_for_pieri():
                     terms = symfunc._skew_terms(lam, gamma)
                     assert set(terms.values()) <= {1}
                     assert lr_coefficient.cache_info().misses == len(terms), (lam, gamma)
+
+
+def test_a_cold_skew_reads_the_coefficient_memo_unchecked(monkeypatch):
+    """``_skew_terms`` reads its coefficients from ``_lr_coefficient``,
+    whose misses ``lr_coefficient.cache_info`` counts, and checks no
+    partition: the shapes it asks about are partitions by construction."""
+    checked = []
+
+    def counting(parts):
+        checked.append(parts)
+        return check_partition(parts)
+
+    monkeypatch.setattr(symfunc, "check_partition", counting)
+    monkeypatch.setattr(partitions, "check_partition", counting)
+    symfunc._skew_terms.cache_clear()
+    lr_coefficient.cache_clear()
+    terms = symfunc._skew_terms((4, 3, 2, 1), (2, 1))
+    assert terms == {alpha: lr_fillings((2, 1), alpha, (4, 3, 2, 1)) for alpha in terms}
+    assert lr_coefficient.cache_info().misses >= len(terms) > 0
+    assert checked == []
 
 
 def test_lr_coefficient_matches_lr_fillings_up_to_weight_8():
@@ -357,10 +376,11 @@ def test_jacobi_trudi_inverts_h_expansion(n):
 
 def test_json_round_trip():
     f = SchurSum(4, {(3, 1): 2, (2, 2): -1, (4,): 10**30})
-    obj = schur_sum_to_json(f)
+    obj = json.loads(json.dumps(schur_sum_to_json(f)))
     assert obj["degree"] == 4
     assert obj["terms"][0] == {"partition": [4], "coeff": str(10**30)}
-    assert schur_sum_from_json(obj) == f
+    terms = {tuple(t["partition"]): int(t["coeff"]) for t in obj["terms"]}
+    assert SchurSum(obj["degree"], terms) == f
 
 
 def test_schur_sum_rejects_mixed_degrees():

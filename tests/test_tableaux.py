@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -8,7 +9,6 @@ from kronlab.enumeration import multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
 from kronlab.partitions import (
     canonical_sort,
-    corners,
     partitions_of,
     weight,
 )
@@ -20,7 +20,6 @@ from kronlab.tableaux import (
     EnumerationLimitError,
     KroneckerTableau,
     PartialStandardTableau,
-    ReducedWalk,
     bijection_regime_ok,
     count_kronecker_tableaux,
     format_walk,
@@ -29,15 +28,13 @@ from kronlab.tableaux import (
     parse_walk,
     rsk_delete,
     rsk_insert,
-    strip_first_row,
-    successors,
     to_pair,
-    unstrip,
     walk_counts,
 )
 
 from oracles import (
     add_corner_positions,
+    corners,
     decreasing_cycle_permutations,
     partial_standard_tableaux,
     remove_corner,
@@ -53,17 +50,17 @@ WALK12_6_TO_222 = (
 )
 
 
-def test_successors_331():
-    got = successors((3, 3, 1))
+def test_steps_331():
+    got = _steps((3, 3, 1))
     moves = [q for q, m in got if m is None]
     stays = [(q, m) for q, m in got if m is not None]
     assert moves == [(4, 3), (4, 2, 1), (3, 2, 2), (3, 2, 1, 1)]
     assert stays == [((3, 3, 1), (3, 1))]
 
 
-def test_successors_single_row_and_square():
-    assert successors((6,)) == [((5, 1), None)]
-    assert successors((2, 2)) == [((3, 1), None), ((2, 1, 1), None)]
+def test_steps_single_row_and_square():
+    assert _steps((6,)) == (((5, 1), None),)
+    assert _steps((2, 2)) == (((3, 1), None), ((2, 1, 1), None))
 
 
 def steps_by_removal(p):
@@ -181,50 +178,37 @@ def test_walk_validation():
 @pytest.mark.parametrize(
     "shapes, marks",
     [
-        (((), (2,)), (None,)),  # adds two cells in one row
-        (((), (1,), (2, 1)), (None, None)),  # adds two cells in two rows
-        (((), (1,)), ((1, 1),)),  # mark on an add
-        (((), (1,), ()), (None, (1, 1))),  # mark on a remove
-        (((), (1,), (2,), (1, 1)), (None, None, (2, 1))),  # mark on a move
-        (((), (1,), (1,)), (None, None)),  # stay without a mark
-        (((), (1,), (2,), (2,)), (None, None, (1, 1))),  # stay on a non-corner
+        (((6,), (4, 2)), (None,)),  # adds two cells in one row below the first
+        (((6,), (5, 1), (3, 2, 1)), (None, None)),  # adds two cells in two rows
+        (((6,), (5, 1)), ((2, 1),)),  # mark on an add below the first row
+        (((6,), (5, 1), (6,)), (None, (2, 1))),  # mark on a remove
+        (((6,), (5, 1), (4, 2), (4, 1, 1)), (None, None, (3, 1))),  # mark on a move
+        (((6,), (5, 1), (5, 1)), (None, None)),  # stay without a mark
+        (((6,), (5, 1), (4, 2), (4, 2)), (None, None, (2, 1))),  # stay on a non-corner
     ],
 )
-def test_reduced_walk_rejects_illegal_steps(shapes, marks):
+def test_walk_rejects_illegal_steps_below_the_first_row(shapes, marks):
     with pytest.raises(ValueError):
-        ReducedWalk(shapes, marks)
+        KroneckerTableau(shapes, marks)
 
 
-def test_strip_and_unstrip_long_walk():
+def test_tableau_shapes_are_the_walk_below_its_first_row():
     K = parse_walk(WALK12_6_TO_222)
-    walk = strip_first_row(K, 6, 12, require_regime=False)
-    assert walk.shapes == (
+    below = (
         (), (1,), (1,), (2,), (2, 1), (1, 1), (2, 1), (2, 2), (2, 1, 1),
         (2, 1), (2, 2), (2, 1), (2, 2),
     )
-    assert walk.marks[1] == (1, 1)
-    assert walk.length == 12
-    assert unstrip(walk, 6) == K
+    assert tuple(s[1:] for s in K.shapes) == below
+    for j in range(K.length + 1):
+        prefix = KroneckerTableau(K.shapes[: j + 1], K.marks[:j])
+        T, _ = to_pair(prefix, 6, j, require_regime=False)
+        assert T.shape == below[j], j
 
 
-def test_strip_regime_guard():
+def test_to_pair_regime_guard():
     K = parse_walk(WALK12_6_TO_222)
-    with pytest.raises(BijectionError):
-        strip_first_row(K, 6, 12)
-
-
-def test_strip_trivial():
-    K = KroneckerTableau(((7,),), ())
-    assert strip_first_row(K, 7, 0) == ReducedWalk(((),), ())
-
-
-def test_strip_unstrip_roundtrip_in_regime():
-    n, k = 8, 4
-    for lam in partitions_of(n):
-        if not bijection_regime_ok(n, k, lam):
-            continue
-        for K in list_kronecker_tableaux((n,), lam, k):
-            assert unstrip(strip_first_row(K, n, k), n) == K
+    with pytest.raises(BijectionError, match="pass require_regime=False"):
+        to_pair(K, 6, 12)
 
 
 def test_rsk_insert_into_empty():
@@ -244,6 +228,22 @@ def test_rsk_rejects_bad_inputs():
         rsk_insert(T, 3)  # duplicate label
     with pytest.raises(ValueError):
         rsk_delete(T, (1, 1))  # not a corner
+
+
+def test_rsk_delete_accepts_exactly_the_corners():
+    # every cell of every shape, and the cells just outside it
+    for n in range(0, 7):
+        for p in partitions_of(n):
+            labels = iter(range(1, n + 1))  # rows filled in turn, bottom first
+            T = PartialStandardTableau(tuple(tuple(next(labels) for _ in range(r)) for r in p))
+            want = set(corners(p).corners)
+            for cell in ((r, c) for r in range(len(p) + 2) for c in range((p[0] if p else 0) + 2)):
+                if cell in want:
+                    back, ejected = rsk_delete(T, cell)
+                    assert rsk_insert(back, ejected) == T, (p, cell)
+                else:
+                    with pytest.raises(ValueError, match="is not a corner of shape"):
+                        rsk_delete(T, cell)
 
 
 def test_rsk_round_trip_random():
@@ -286,13 +286,39 @@ def test_pair_trivial():
 
 @pytest.mark.parametrize("k", range(0, 6))
 def test_pair_round_trip_exhaustive(k):
-    n = k + 4
-    for lam in partitions_of(n):
-        if not bijection_regime_ok(n, k, lam):
-            continue
-        for K in list_kronecker_tableaux((n,), lam, k):
-            T, pi = to_pair(K, n, k)
-            assert from_pair(T, pi, n, k) == K
+    # at n = k + 4 every final shape is in the regime; below it, a walk
+    # out of the regime is encoded only with require_regime=False
+    for n in range(1, k + 5):
+        for lam in partitions_of(n):
+            regime = bijection_regime_ok(n, k, lam)
+            for K in list_kronecker_tableaux((n,), lam, k):
+                T, pi = to_pair(K, n, k, require_regime=False)
+                assert from_pair(T, pi, n, k, require_regime=False) == K
+                if regime:
+                    assert to_pair(K, n, k) == (T, pi)
+                    assert from_pair(T, pi, n, k) == K
+                else:
+                    with pytest.raises(BijectionError):
+                        to_pair(K, n, k)
+                    with pytest.raises(BijectionError):
+                        from_pair(T, pi, n, k)
+
+
+# sha256 of repr(to_pair(K, n, k, require_regime=False)), one line per
+# walk K from (n), for n = 1..8 and k = 0..5 in listing order
+PAIRS_DIGEST = "a2bf928143d57e02d69d92d2b0ed2216494a8e128835558cf795a49e63cc72a8"
+
+
+def test_to_pair_is_pinned_on_every_short_walk():
+    digest, walks = hashlib.sha256(), 0
+    for n in range(1, 9):
+        for k in range(0, 6):
+            for lam in partitions_of(n):
+                for K in list_kronecker_tableaux((n,), lam, k):
+                    digest.update((repr(to_pair(K, n, k, require_regime=False)) + "\n").encode())
+                    walks += 1
+    assert walks == 1937
+    assert digest.hexdigest() == PAIRS_DIGEST
 
 
 @pytest.mark.parametrize("k", range(0, 5))
