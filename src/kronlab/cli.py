@@ -22,14 +22,18 @@ from .partitions import check_count, check_same_weight, parse_partition, weight
 
 SCHEMA = "kronlab/1"
 
-DEFAULT_MAX_N = 8
-DEFAULT_MAX_K = 10
-DEFAULT_MAX_CHARTABLE_N = 16
-DEFAULT_LIST_LIMIT = 100000
-DEFAULT_MAX_WALK_K = 1000
-DEFAULT_MAX_FORMULA_N = 2500
-DEFAULT_MAX_FORMULA_K = 1000
-DEFAULT_MAX_EGF_ORDER = 200
+# command -> {name: default} of its --max-<name> options, in the order its
+# resource-limit error names them
+CAPS = {
+    "kron": {"n": 16},
+    "power": {"n": 8, "k": 10},
+    "chartable": {"n": 16},
+    "tableaux": {"k": 1000},
+    "bijection": {},
+    "formula": {"n": 2500, "k": 1000},
+    "egf": {"order": 200},
+    "verify": {"n": 8, "k": 10},
+}
 
 
 def _emit(payload: dict) -> None:
@@ -86,27 +90,28 @@ def _emit_agreed(results: dict[str, symfunc.SchurSum]) -> int:
     return 1
 
 
-def _limit(**caps: int) -> tableaux.EnumerationLimitError:
-    """The exit-3 error for an input beyond its ``--max-<name>`` caps."""
-    bounds = ", ".join(f"{name} <= {cap}" for name, cap in caps.items())
-    options = "/".join(f"--max-{name}" for name in caps)
-    return tableaux.EnumerationLimitError(
-        f"resource limit ({bounds}); raise {options} to proceed"
-    )
+def _cap(args, **values: int) -> None:
+    """Raise the exit-3 error if a value is beyond its ``--max-<name>`` cap;
+    the error names every cap of the command."""
+    caps = {name: getattr(args, f"max_{name}") for name in CAPS[args.command]}
+    if any(value > caps[name] for name, value in values.items()):
+        bounds = ", ".join(f"{name} <= {cap}" for name, cap in caps.items())
+        options = "/".join(f"--max-{name}" for name in caps)
+        raise tableaux.EnumerationLimitError(
+            f"resource limit ({bounds}); raise {options} to proceed"
+        )
 
 
 def _check_power_args(args) -> None:
     """Raise for an (n, k) that may not run."""
     check_count(args.n, "n", 2)
-    if args.n > args.max_n or args.k > args.max_k:
-        raise _limit(n=args.max_n, k=args.max_k)
+    _cap(args, n=args.n, k=args.k)
     check_count(args.k)
 
 
 def cmd_kron(args) -> int:
     n, (lam, mu) = check_same_weight(*map(parse_partition, (args.lam, args.mu)))
-    if n > args.max_n:
-        raise _limit(n=args.max_n)
+    _cap(args, n=n)
     return _emit_agreed(_run_routes("kron", args.method, lam, mu))
 
 
@@ -116,8 +121,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_chartable(args) -> int:
-    if args.n > args.max_n:
-        raise _limit(n=args.max_n)
+    _cap(args, n=args.n)
     table = characters.character_table(args.n)
     if args.format == "ascii":
         print(table.ascii_render())
@@ -136,8 +140,7 @@ def cmd_tableaux(args) -> int:
     _, (mu, lam) = check_same_weight(*map(parse_partition, (args.mu, args.lam)))
     if args.action == "list":
         check_count(args.limit, "--limit", 1)
-    if args.k > args.max_k:
-        raise _limit(k=args.max_k)
+    _cap(args, k=args.k)
     if args.action == "count":
         print(tableaux.count_kronecker_tableaux(mu, lam, args.k))
         return 0
@@ -176,8 +179,7 @@ def cmd_bijection(args) -> int:
 
 def cmd_formula(args) -> int:
     lam = parse_partition(args.lam)
-    if args.n > args.max_n or args.k > args.max_k:
-        raise _limit(n=args.max_n, k=args.max_k)
+    _cap(args, n=args.n, k=args.k)
     value = enumeration.multiplicity_formula(args.n, args.k, lam)
     _emit(
         {
@@ -194,8 +196,7 @@ def cmd_egf(args) -> int:
     lb = parse_partition(args.lambda_bar)
     if args.order < weight(lb):
         raise ValueError(f"--order must be at least the weight {weight(lb)} of {lb}")
-    if args.order > args.max_order:
-        raise _limit(order=args.max_order)
+    _cap(args, order=args.order)
     if args.check:
         rows = enumeration.egf_check(lb, args.order)
         _emit({"lambda_bar": list(lb), "order": args.order, "rows": rows})
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_methods("kron"),
         default="both",
     )
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_CHARTABLE_N)
     p.set_defaults(func=cmd_kron)
 
     p = sub.add_parser("power", help="Kronecker power of the (n-1,1) irreducible")
@@ -252,14 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_methods("power"),
         default="both",
     )
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("chartable", help="character table of the symmetric group")
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["json", "ascii"], default="json")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_CHARTABLE_N)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("tableaux", help="count or list corner-move walks")
@@ -267,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu", help="initial shape, e.g. [5]")
     p.add_argument("lam", metavar="lambda", help="final shape")
     p.add_argument("k", type=int)
-    p.add_argument("--limit", type=int, default=DEFAULT_LIST_LIMIT)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_WALK_K)
+    p.add_argument("--limit", type=int, default=100000)
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser(
@@ -282,24 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("lam", metavar="lambda")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_FORMULA_N)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_FORMULA_K)
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("egf", help="exact truncated generating function")
     p.add_argument("lambda_bar")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--check", action="store_true")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_EGF_ORDER)
     p.set_defaults(func=cmd_egf)
 
     p = sub.add_parser("verify", help="three-route agreement sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
     p.set_defaults(func=cmd_verify)
 
+    for command, p in sub.choices.items():
+        for name, default in CAPS[command].items():
+            p.add_argument(f"--max-{name}", type=int, default=default)
     return parser
 
 

@@ -17,10 +17,12 @@ Cell = tuple[int, int]
 
 
 def is_partition(parts) -> bool:
-    """True if ``parts`` is a weakly decreasing sequence of positive ints."""
+    """True if ``parts`` is a weakly decreasing sequence of positive ints;
+    a bool is not one, since ``(2, True)`` would share the key of ``(2, 1)``
+    in every memo."""
     prev = None
     for p in parts:
-        if not isinstance(p, int) or p < 1 or (prev is not None and p > prev):
+        if type(p) is not int or p < 1 or (prev is not None and p > prev):
             return False
         prev = p
     return True

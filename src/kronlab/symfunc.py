@@ -40,7 +40,7 @@ helpers that ``perp`` and ``multiply`` are built on, ``_skew`` and
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cache
 
 from .partitions import (
@@ -354,10 +354,11 @@ def h_to_schur(indices: Partition) -> SchurSum:
 
 
 def skew_then_multiply(
-    terms: Iterable[tuple[int, tuple[Partition, ...]]], f: SchurSum
+    terms: tuple[tuple[int, tuple[Partition, ...]], ...], f: SchurSum
 ) -> SchurSum:
     """Sum over (coeff, nus) of coeff times the composite (multiply by
-    every s_nu) after (skew by every s_nu), applied to f.
+    every s_nu) after (skew by every s_nu), applied to f.  ``terms`` is a
+    tuple, the key of its ``_collected`` memo.
 
     Applied collected (``_Collected``): f is skewed once by each b that
     leaves something, the skews are gathered per a, and each gathered sum
@@ -366,7 +367,7 @@ def skew_then_multiply(
     """
     for p in f.terms:
         check_partition(p)
-    op = _collected(terms if isinstance(terms, tuple) else tuple(terms))
+    op = _collected(terms)
     result = {p: op.identity * c for p, c in f.terms.items()} if op.identity else {}
     gathered: dict[Partition, dict[Partition, int]] = {}
     for b in op.columns:

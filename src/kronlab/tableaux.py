@@ -229,7 +229,7 @@ class PartialStandardTableau(Record):
             if i and len(row) > len(self.rows[i - 1]):
                 raise ValueError("row lengths must weakly decrease upward")
             for j, x in enumerate(row):
-                if not isinstance(x, int) or x < 1 or x in seen:
+                if type(x) is not int or x < 1 or x in seen:
                     raise ValueError(f"bad label {x!r}")
                 seen.add(x)
                 if j and row[j - 1] >= x:
@@ -312,7 +312,7 @@ class DecCyclePermutation(Record):
             if not cyc:
                 raise ValueError("empty cycle")
             for x in cyc:
-                if not isinstance(x, int) or x < 1:
+                if type(x) is not int or x < 1:
                     raise ValueError(f"bad element {x!r}")
             if cyc[0] <= prev_max:
                 raise ValueError("cycles must be sorted by greatest element")

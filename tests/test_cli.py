@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kronlab.cli import ROUTES, main
+from kronlab.cli import ROUTES, build_parser, main
 from kronlab.symfunc import SchurSum
 
 from oracles import singleton_free_partitions
@@ -200,6 +201,41 @@ def test_readme_cli_block_runs(tmp_path, capsys):
         code, out, err = run(capsys, *args)
         assert (code, err) == (0, ""), args
         assert out
+
+
+def readme_cap_rows():
+    """{command: {option: default}} of every row of README's cap table,
+    whose option and default cells list a command's caps split by "/"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 5:
+            options = [o.strip(" `") for o in cells[1].split("/") if "--max-" in o]
+            defaults = [int(d) for d in cells[2].split("/") if d.strip()]
+            rows[cells[0].strip("`")] = dict(zip(options, defaults, strict=True))
+    return rows
+
+
+def parser_caps():
+    """{command: {option: default}} of the --max-* options of build_parser()."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {
+            option: action.default
+            for action in p._actions
+            for option in action.option_strings
+            if option.startswith("--max-")
+        }
+        for command, p in sub.choices.items()
+    }
+
+
+def test_readme_cap_table_matches_the_parser():
+    # every subcommand has a row, bijection's with no cap, and every cap
+    # and default of the table is the parser's, and the other way round
+    assert readme_cap_rows() == parser_caps()
 
 
 def readme_python_blocks():
@@ -550,6 +586,9 @@ GOLDEN_STDERR = {
     "power-resource-limit": (
         "error: resource limit (n <= 8, k <= 10); raise --max-n/--max-k to proceed"
     ),
+    "power-k-limit": (
+        "error: resource limit (n <= 8, k <= 10); raise --max-n/--max-k to proceed"
+    ),
     "chartable-nonpositive": "error: n must be positive",
     "tableaux-list-limit": "error: more than 5 walks from (5,) to (3, 2)",
     "tableaux-weight-mismatch": "error: weight mismatch (4,) vs (2, 1)",
@@ -560,6 +599,9 @@ GOLDEN_STDERR = {
     ),
     "egf-order-too-small": "error: --order must be at least the weight 3 of (2, 1)",
     "verify-resource-limit": (
+        "error: resource limit (n <= 8, k <= 10); raise --max-n/--max-k to proceed"
+    ),
+    "verify-k-limit": (
         "error: resource limit (n <= 8, k <= 10); raise --max-n/--max-k to proceed"
     ),
 }

@@ -5,7 +5,8 @@ code and the SHA-256 of stdout with values recorded from the reference
 implementation.  A refactor must keep every case unchanged; a deliberate
 change of output updates the digest here together with the reason.
 
-To print the current digests (for example after such a change)::
+To print the current digests (for example after such a change), and the
+``GOLDEN_STDERR`` entries of ``test_cli.py``::
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.dump()"
 """
@@ -51,6 +52,7 @@ CASES = {
     "power-n-too-small": (["power", "1", "3"], None),
     "power-negative-k": (["power", "5", "-1", "--method=all"], None),
     "power-resource-limit": (["power", "30", "2"], None),
+    "power-k-limit": (["power", "5", "11"], None),
     "power-raised-limit": (["power", "9", "2", "--method=all", "--max-n", "9"], None),
     "power-character-n9": (["power", "9", "5", "--method=character", "--max-n", "9"], None),
     "power-all-n14": (["power", "14", "10", "--method=all", "--max-n", "14"], None),
@@ -83,6 +85,7 @@ CASES = {
     "verify-small": (["verify", "--n", "5", "--k", "4"], None),
     "verify-trivial": (["verify", "--n", "2", "--k", "0"], None),
     "verify-resource-limit": (["verify", "--n", "100", "--k", "1"], None),
+    "verify-k-limit": (["verify", "--n", "3", "--k", "11"], None),
     "verify-raised-limit": (["verify", "--n", "9", "--k", "1", "--max-n", "9"], None),
     "no-command": ([], None),
 }
@@ -112,6 +115,7 @@ GOLDEN = {
     "power-n-too-small": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-negative-k": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-resource-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "power-k-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "power-raised-limit": (0, "3ddadd9e780495abb136c5beb6121e22baab773c8e5367826f423d7357020db3"),
     "power-character-n9": (0, "528c274c15a32a228722a908dc58c22570d5271b3bb1cf7fd2be2c9b93eddb9d"),
     "power-all-n14": (0, "c8d325bebecc218693a1366a48cc30bac1076cacd322e8c52e02eea6c83fcbb1"),
@@ -144,22 +148,24 @@ GOLDEN = {
     "verify-small": (0, "398ef6ddb37d5ddc5e5bfa3f13478335a10e008dc53e9ae769f112c107195ee0"),
     "verify-trivial": (0, "6da13995b6aa2429c48603a4d84b45dcb842c56bbaaebbb48aba8d706b2635d3"),
     "verify-resource-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify-k-limit": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify-raised-limit": (0, "52e2064dd3aab89f4d6b4e98a9af0c0c537ea4abbb3eb7ef3af8b59554efc883"),
     "no-command": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
 def invoke(argv, stdin, walkfile):
+    """The exit code, stdout and stderr of one case."""
     argv = [a.replace("{walkfile}", str(walkfile)) for a in argv]
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin or "")
     try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = saved
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def digest(text):
@@ -167,17 +173,26 @@ def digest(text):
 
 
 def dump():
-    """Print a GOLDEN table for the current implementation."""
+    """Print a GOLDEN table for the current implementation, then the
+    ``GOLDEN_STDERR`` entries (``test_cli.py``) of its failing cases: each
+    one-line stderr, which argparse's usage errors never are."""
+    import json
     import os
     import tempfile
 
+    errors = {}
     with tempfile.TemporaryDirectory() as tmp:
         walkfile = os.path.join(tmp, "walks.txt")
         with open(walkfile, "w", encoding="utf-8") as fh:
             fh.write(WALKS)
         for case, (argv, stdin) in CASES.items():
-            code, out = invoke(argv, stdin, walkfile)
+            code, out, err = invoke(argv, stdin, walkfile)
             print(f'    "{case}": ({code}, "{digest(out)}"),')
+            if code and err.count("\n") == 1:
+                errors[case] = err[:-1]
+    print()
+    for case, line in errors.items():
+        print(f'    "{case}": {json.dumps(line, ensure_ascii=False)},')
 
 
 def test_every_case_has_a_golden_value():
@@ -194,5 +209,5 @@ def test_golden_output(case, tmp_path):
     walkfile = tmp_path / "walks.txt"
     walkfile.write_text(WALKS, encoding="utf-8")
     argv, stdin = CASES[case]
-    code, out = invoke(argv, stdin, walkfile)
+    code, out, _ = invoke(argv, stdin, walkfile)
     assert (code, digest(out)) == GOLDEN[case], out

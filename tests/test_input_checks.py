@@ -2,6 +2,7 @@
 
 import pytest
 
+from kronlab import tableaux
 from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import TruncatedEGF, multiplicity_formula
 from kronlab.kron_ops import _build_operator, build_operator, kron_power_nm1
@@ -25,6 +26,7 @@ from kronlab.tableaux import (
     parse_walk,
     rsk_delete,
     to_pair,
+    walk_counts,
 )
 
 CASES = {
@@ -38,6 +40,12 @@ CASES = {
         lambda: SchurSum.schur((2,)) + SchurSum.schur((1,)),
         ValueError,
         "different degrees",
+    ),
+    "schur-bool-part": (lambda: SchurSum.schur((True,)), ValueError, "not a partition"),
+    "walk-counts-bool-part": (
+        lambda: walk_counts((2, True), 1),
+        ValueError,
+        "not a partition",
     ),
     "multiply-non-partition": (
         lambda: multiply(SchurSum(1, {(1, 0): 1}), SchurSum.schur((1,))),
@@ -161,6 +169,11 @@ CASES = {
         ValueError,
         "bad label 0",
     ),
+    "tableau-bool-label": (
+        lambda: PartialStandardTableau(((True, 2),)),
+        ValueError,
+        "bad label True",
+    ),
     "tableau-find-absent": (
         lambda: PartialStandardTableau(((1,),)).find(5),
         KeyError,
@@ -186,6 +199,11 @@ CASES = {
         lambda: DecCyclePermutation(((3, "a"),)),
         ValueError,
         "bad element 'a'",
+    ),
+    "cycle-element-bool": (
+        lambda: DecCyclePermutation(((2, True),)),
+        ValueError,
+        "bad element True",
     ),
     "cycle-element-zero": (
         lambda: DecCyclePermutation(((0,),)),
@@ -233,6 +251,18 @@ def test_input_check(case):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+def test_a_refused_bool_part_leaves_later_answers_all_int():
+    # (2, True) == (2, 1) as a memo key, so had the check let the bool in,
+    # the cold memos would hand it to every later walk from (2, 1)
+    tableaux._steps.cache_clear()
+    tableaux._endpoints.clear()
+    with pytest.raises(ValueError, match="not a partition"):
+        walk_counts((2, True), 1)
+    terms = walk_counts((2, 1), 1).terms
+    assert terms == {(3,): 1, (2, 1): 1, (1, 1, 1): 1}
+    assert all(type(part) is int for p in terms for part in p)
 
 
 # a public name over a private memo: (memo front, a call of floats, the

@@ -106,8 +106,8 @@ def test_partitions_are_valid_and_sorted(subtests=None):
         ([5, 2, 2, 1], True),
         (iter((4, 1)), True),
         ((10**30, 1), True),
-        ((True,), True),  # bool counts as an int, True as 1
-        ((2, True), True),
+        ((True,), False),  # a bool is no part: (2, True) would share the memo key of (2, 1)
+        ((2, True), False),
         ((False,), False),
         ((0,), False),
         ((3, 0), False),
