@@ -14,9 +14,10 @@ of one label on one partial filling (``_lattice_strips``) recur across
 product pairs, so they are memoised once for all pairs, as tuples; each
 shape and row-count tuple they store is the one object held for it in
 ``_shared``, and those shapes are also the keys of the product memo.
-``lr_coefficient`` reads its coefficient from that per-pair memo, and a
-skew s_lam/gamma is expanded from those coefficients once per pair
-(lam, gamma) and memoised.  It runs only over the shapes alpha inside
+``lr_coefficient`` reads its coefficient from that per-pair memo, and so
+does a skew s_lam/gamma, expanded once per pair (lam, gamma) and
+memoised; the skew by s_b and the product by s_b of the operator route
+read the same pairs.  The skew runs only over the shapes alpha inside
 lam for which lam/alpha fits gamma's box, alpha_i >= lam_(i+len(gamma))
 and alpha_i >= lam_i - gamma_1 (``partitions.partitions_inside`` with
 that floor): an LR filling of lam/alpha with content gamma has at most
@@ -140,32 +141,6 @@ class SchurSum:
 
 
 @cache
-def _lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
-    """``lr_coefficient`` of checked partitions, memoised."""
-    g, a = weight(gamma), weight(alpha)
-    if g + a != weight(mu):
-        return 0
-    if not contains(mu, gamma) or not contains(mu, alpha):
-        return 0
-    big, small = (gamma, alpha) if g >= a else (alpha, gamma)
-    return _schur_product_terms(big, small).get(mu, 0)
-
-
-@checked_front(_lr_coefficient)
-def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
-    """Littlewood-Richardson coefficient of s_mu in s_gamma * s_alpha.
-
-    Read from the memoised product of the pair, which is shared with
-    ``multiply`` and only read.  By c^mu_{gamma alpha} = c^mu_{alpha gamma}
-    the factor of smaller weight is the content, the first argument on a
-    tie, as in ``multiply``; so the skew by nu and the product by s_nu of
-    the operator route read the same memo entries.  The partitions are
-    checked before the memo, ``_lr_coefficient``, is read.
-    """
-    return _lr_coefficient(check_partition(gamma), check_partition(alpha), check_partition(mu))
-
-
-@cache
 def _schur_product_terms(gamma: Partition, alpha: Partition) -> dict[Partition, int]:
     """Littlewood-Richardson coefficients of s_gamma * s_alpha, by shape.
 
@@ -188,6 +163,24 @@ def _schur_product_terms(gamma: Partition, alpha: Partition) -> dict[Partition, 
     for (mu, _), ways in states.items():
         out[mu] = out.get(mu, 0) + ways
     return out
+
+
+@checked_front(_schur_product_terms)
+def lr_coefficient(gamma: Partition, alpha: Partition, mu: Partition) -> int:
+    """Littlewood-Richardson coefficient of s_mu in s_gamma * s_alpha.
+
+    Read from the memoised product of the pair, ``_schur_product_terms``,
+    which is shared with ``multiply`` and the skews and only read.  By
+    c^mu_{gamma alpha} = c^mu_{alpha gamma} the factor of smaller weight
+    is the content, the first argument on a tie, as in ``multiply``.  The
+    partitions are checked before the memo is read.
+    """
+    gamma, alpha, mu = check_partition(gamma), check_partition(alpha), check_partition(mu)
+    g, a = weight(gamma), weight(alpha)
+    if g + a != weight(mu) or not contains(mu, gamma) or not contains(mu, alpha):
+        return 0
+    big, small = (gamma, alpha) if g >= a else (alpha, gamma)
+    return _schur_product_terms(big, small).get(mu, 0)
 
 
 # one shared object per distinct shape or row-count tuple in the strip
@@ -279,10 +272,13 @@ def _skew_terms(lam: Partition, gamma: Partition) -> dict[Partition, int]:
     width = gamma[0] if gamma else 0
     shifted = lam[len(gamma) :] + (0,) * len(gamma)
     floor = tuple(f for f in map(max, shifted, [part - width for part in lam]) if f > 0)
+    g = weight(gamma)
+    d = weight(lam) - g
     out = {}
-    for alpha in partitions_inside(lam, weight(lam) - weight(gamma), floor):
-        lr = _lr_coefficient(gamma, alpha, lam)
-        if lr:
+    for alpha in partitions_inside(lam, d, floor):
+        # the content is the lighter factor, gamma on a tie, as in lr_coefficient
+        big, small = (gamma, alpha) if g >= d else (alpha, gamma)
+        if lr := _schur_product_terms(big, small).get(lam):
             out[alpha] = lr
     return out
 

@@ -178,17 +178,19 @@ def list_kronecker_tableaux(
 
     A walk only continues from a shape that reaches lam in the steps left;
     the steps are symmetric, so those shapes are the ends of the walks from
-    lam of that length.  Raises EnumerationLimitError as soon as more than
-    ``limit`` walks would be produced."""
+    lam of that length.  Raises EnumerationLimitError, before any walk is
+    built, when more than ``limit`` walks would be produced."""
     _, (mu, lam) = check_same_weight(mu, lam)
     k = check_count(k)
     if limit is not None:
         limit = check_count(limit, "limit")
-    # reach[d]: the shapes with a walk of length d to lam; stepped here, so
-    # the shared memo is left as it was
+    # reach[d]: the shapes with their number of walks of length d to lam;
+    # stepped here, so the shared memo is left as it was
     reach = [{lam: 1}]
     for _ in range(k):
         reach.append(_step(reach[-1]))
+    if limit is not None and reach[k].get(mu, 0) > limit:
+        raise EnumerationLimitError(f"more than {limit} walks from {mu} to {lam}")
     found: list[KroneckerTableau] = []
     walk: list[tuple[Partition, Cell | None]] = []  # (shape, mark) per depth
     pending = [iter(((mu, None),))]  # pending[d] yields the choices for walk[d]
@@ -203,8 +205,6 @@ def list_kronecker_tableaux(
         elif depth < k:
             walk.append(step)
             pending.append(iter(_steps(step[0])))
-        elif limit is not None and len(found) >= limit:
-            raise EnumerationLimitError(f"more than {limit} walks from {mu} to {lam}")
         else:
             shapes, marks = zip(*walk, step)
             found.append(KroneckerTableau(shapes, marks[1:]))

@@ -13,6 +13,7 @@ from kronlab.characters import (
 )
 from kronlab.kron_ops import kron_product_via_operator
 from kronlab.partitions import class_size, partitions_of
+from kronlab.symfunc import SchurSum, lr_coefficient, multiply, perp
 from kronlab.tableaux import (
     _steps,
     KroneckerTableau,
@@ -24,7 +25,7 @@ from kronlab.tableaux import (
     walk_counts,
 )
 
-from oracles import walk_count_recursive, walk_steps
+from oracles import lr_fillings, walk_count_recursive, walk_steps
 
 
 def direct_kron_coefficient(lam, mu, alpha):
@@ -67,6 +68,32 @@ def test_operator_agrees_with_characters_at_benchmark_sizes():
     for lam, mu in pairs:
         want = kron_product_via_characters(lam, mu)
         assert kron_product_via_operator(lam, mu) == want, (lam, mu)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lr_coefficients_agree_with_fillings_past_the_sweeps(seed):
+    """Triples with |gamma| + |alpha| = |mu| <= 12, past the weights of the
+    exhaustive sweeps: ``lr_coefficient`` in both argument orders and the
+    alpha-coefficient of the skew perp(gamma, s_mu) count the fillings.
+    Most mu are drawn from the product s_gamma s_alpha, favouring its
+    larger coefficients, so most of the coefficients are not 0."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(100):
+        total = rng.randint(8, 12)
+        g = rng.randint(1, total - 1)
+        gamma, alpha = rng.choice(partitions_of(g)), rng.choice(partitions_of(total - g))
+        product = multiply(SchurSum.schur(gamma), SchurSum.schur(alpha)).terms
+        if rng.random() < 0.6:
+            mu = rng.choices(list(product), [c * c for c in product.values()])[0]
+        else:
+            mu = rng.choice(partitions_of(total))
+        want = lr_fillings(gamma, alpha, mu)
+        assert lr_coefficient(gamma, alpha, mu) == want, (gamma, alpha, mu)
+        assert lr_coefficient(alpha, gamma, mu) == want, (alpha, gamma, mu)
+        assert perp(gamma, SchurSum.schur(mu)).coefficient(alpha) == want, (gamma, alpha, mu)
+        found.append(want)
+    assert found.count(0) < 50 and max(found) >= 2
 
 
 def test_steps_match_oracle_steps():

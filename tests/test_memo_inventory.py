@@ -19,7 +19,6 @@ MEMOS = {
         "_power_sums",
     },
     "symfunc": {
-        "_lr_coefficient",
         "_schur_product_terms",
         "_lattice_strips",
         "_skew_terms",

@@ -134,25 +134,28 @@ def test_skews_match_lr_coefficients_up_to_weight_9():
 
 
 def test_skew_candidates_fit_the_box_exactly_for_pieri():
-    """A skew by a row (r) or a column (1^r) looks up no coefficient that
-    is 0: a candidate alpha with alpha_i >= lam_(i+len(gamma)) and
-    alpha_i >= lam_i - gamma_1 differs from lam by a horizontal or a
-    vertical strip, whose coefficient is 1 (Pieri)."""
+    """A cold skew by a row (r) or a column (1^r) fills one product pair
+    per candidate and none whose coefficient is 0: a candidate alpha with
+    alpha_i >= lam_(i+len(gamma)) and alpha_i >= lam_i - gamma_1 differs
+    from lam by a horizontal or a vertical strip, whose coefficient is 1
+    (Pieri)."""
     for n in range(0, 10):
         for lam in partitions_of(n):
             for r in range(1, n + 1):
                 for gamma in ((r,), (1,) * r):
                     symfunc._skew_terms.cache_clear()
-                    lr_coefficient.cache_clear()
+                    _schur_product_terms.cache_clear()
                     terms = symfunc._skew_terms(lam, gamma)
                     assert set(terms.values()) <= {1}
-                    assert lr_coefficient.cache_info().misses == len(terms), (lam, gamma)
+                    info = _schur_product_terms.cache_info()
+                    assert (info.hits, info.misses) == (0, len(terms)), (lam, gamma)
 
 
 def test_a_cold_skew_reads_the_coefficient_memo_unchecked(monkeypatch):
-    """``_skew_terms`` reads its coefficients from ``_lr_coefficient``,
-    whose misses ``lr_coefficient.cache_info`` counts, and checks no
-    partition: the shapes it asks about are partitions by construction."""
+    """``_skew_terms`` reads its coefficients from the product memo
+    ``_schur_product_terms``, whose misses ``lr_coefficient.cache_info``
+    counts too, and checks no partition: the shapes it asks about are
+    partitions by construction."""
     checked = []
 
     def counting(parts):
@@ -162,10 +165,10 @@ def test_a_cold_skew_reads_the_coefficient_memo_unchecked(monkeypatch):
     monkeypatch.setattr(symfunc, "check_partition", counting)
     monkeypatch.setattr(partitions, "check_partition", counting)
     symfunc._skew_terms.cache_clear()
-    lr_coefficient.cache_clear()
+    _schur_product_terms.cache_clear()
     terms = symfunc._skew_terms((4, 3, 2, 1), (2, 1))
     assert terms == {alpha: lr_fillings((2, 1), alpha, (4, 3, 2, 1)) for alpha in terms}
-    assert lr_coefficient.cache_info().misses >= len(terms) > 0
+    assert _schur_product_terms.cache_info().misses >= len(terms) > 0
     assert checked == []
 
 
@@ -288,7 +291,7 @@ def test_staircase_work_is_pinned(strip_values):
     strips = _lattice_strips.cache_info()
     assert strips.misses <= 7714 and strips.hits > 0
     assert _schur_product_terms.cache_info().misses <= 1366
-    assert lr_coefficient.cache_info().misses <= 657
+    assert lr_coefficient.cache_info() == _schur_product_terms.cache_info()
     for part in (0, 1):
         stored = [pair[part] for value in strip_values for pair in value]
         assert len({id(x) for x in stored}) == len(set(stored))

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from kronlab import tableaux
 from kronlab.characters import kron_power_oracle
 from kronlab.enumeration import multiplicity_formula
 from kronlab.kron_ops import kron_power_nm1
@@ -144,9 +145,39 @@ def test_list_examples():
         assert list_kronecker_tableaux((n,), (n,), 1) == []
 
 
-def test_list_limit_overflow():
+def test_list_limit_overflow(monkeypatch):
+    """An over-limit listing is refused before it builds any walk."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return KroneckerTableau(*args)
+
+    monkeypatch.setattr(tableaux, "KroneckerTableau", counting)
     with pytest.raises(EnumerationLimitError):
         list_kronecker_tableaux((5,), (3, 2), 9, limit=10)
+    with pytest.raises(EnumerationLimitError, match=r"more than 10 walks from \(6,\) to \(4, 2\)"):
+        list_kronecker_tableaux((6,), (4, 2), 10, limit=10)
+    assert built == []
+    assert len(list_kronecker_tableaux((5,), (3, 2), 4, limit=None)) == len(built) > 0
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_the_walk_counts_decide_the_limit_exactly(n):
+    """The number of walks that the listing reads off its transfer-matrix
+    steps before the search is the number it lists; a limit equal to it
+    answers, and one less refuses."""
+    for lam in partitions_of(n):
+        reach = {lam: 1}
+        for k in range(0, 6):
+            for mu in partitions_of(n):
+                count = reach.get(mu, 0)
+                listed = list_kronecker_tableaux(mu, lam, k, limit=count)
+                assert len(listed) == count, (mu, lam, k)
+                if count:
+                    with pytest.raises(EnumerationLimitError):
+                        list_kronecker_tableaux(mu, lam, k, limit=count - 1)
+            reach = tableaux._step(reach)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
